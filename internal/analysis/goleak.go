@@ -193,4 +193,3 @@ func timeFuncName(info *types.Info, call *ast.CallExpr) string {
 	}
 	return ""
 }
-

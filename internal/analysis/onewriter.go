@@ -46,13 +46,13 @@ func runOneWriter(pass *Pass) error {
 
 // ownAccess is one syntactic touch of a package-declared struct field.
 type ownAccess struct {
-	field *types.Var
-	pos   token.Pos
-	write bool
-	node  ast.Node    // enclosing function node
-	decl  *types.Func // enclosing declaration
-	stmt  ast.Stmt
-	root  *types.Var // base variable of the selector chain, if any
+	field   *types.Var
+	pos     token.Pos
+	write   bool
+	node    ast.Node    // enclosing function node
+	decl    *types.Func // enclosing declaration
+	stmt    ast.Stmt
+	root    *types.Var // base variable of the selector chain, if any
 	spawned bool
 }
 
@@ -68,9 +68,9 @@ type ownModel struct {
 	spawned map[ast.Node]bool
 
 	accesses []ownAccess
-	spawns   map[ast.Node][]ownSite   // per function node: go statements
-	waits    map[ast.Node][]ownSite   // per function node: WaitGroup.Wait sites
-	calls    map[*types.Func][]ownSite // per package function: its static call sites
+	spawns   map[ast.Node][]ownSite           // per function node: go statements
+	waits    map[ast.Node][]ownSite           // per function node: WaitGroup.Wait sites
+	calls    map[*types.Func][]ownSite        // per package function: its static call sites
 	fresh    map[ast.Node]map[*types.Var]bool // per function node: composite-built locals
 
 	writtenSel map[ast.Expr]bool // selectors already recorded as writes

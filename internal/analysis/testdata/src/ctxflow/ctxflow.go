@@ -13,8 +13,8 @@ func (g *WaitGroup) Wait() {}
 
 // Feed holds a ctx but lets four block points ignore it.
 func Feed(ctx context.Context, work chan int, out chan int) {
-	work <- 1 // want `channel send can block past cancellation`
-	<-out     // want `channel receive can block past cancellation`
+	work <- 1        // want `channel send can block past cancellation`
+	<-out            // want `channel receive can block past cancellation`
 	for range work { // want `ranging over a channel blocks past cancellation`
 	}
 	select { // want `select without a ctx\.Done arm or default`

@@ -18,7 +18,7 @@ func (m *Machine) Step() {
 	m.sink = m.cycle                  // want `hot path \(Machine\.Step\): assignment boxes uint64 into any per cycle`
 	v := any(m.cycle)                 // want `hot path \(Machine\.Step\): conversion boxes uint64 into any per cycle`
 	_ = v
-	m.take(m.cycle) // want `hot path \(Machine\.Step\): argument boxes uint64 into any per cycle in the call to take`
+	m.take(m.cycle)        // want `hot path \(Machine\.Step\): argument boxes uint64 into any per cycle in the call to take`
 	for k := range m.tab { // want `hot path \(Machine\.Step\): map iteration per cycle`
 		_ = k
 	}

@@ -23,9 +23,9 @@ type Arg struct {
 type argKind uint8
 
 const (
-	argSpec    argKind = iota // concrete specifier
-	argPCRel                  // L^label(PC): PC-relative long displacement
-	argAbsLbl                 // @#label: absolute address of a label
+	argSpec   argKind = iota // concrete specifier
+	argPCRel                 // L^label(PC): PC-relative long displacement
+	argAbsLbl                // @#label: absolute address of a label
 )
 
 // Lit returns a short-literal operand (0..63).

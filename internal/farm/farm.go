@@ -188,8 +188,8 @@ type Result struct {
 	Rescued   int
 	Shed      int
 	Paused    int
-	Failures  int // failed attempts observed (retried or shed)
-	Lost      int // workers dead at the end
+	Failures  int    // failed attempts observed (retried or shed)
+	Lost      int    // workers dead at the end
 	Cycles    uint64 // cycles contributed to the merge
 }
 

@@ -134,8 +134,8 @@ func (s *SBI) BusyUntil() uint64 { return s.busyUntil }
 // A depth greater than one models the deeper buffers of later machines
 // (an ablation of §5's write-stall discussion).
 type WriteBuffer struct {
-	sbi    *SBI //vaxlint:allow statecomplete -- wiring to the rebuilt SBI
-	depth  int  //vaxlint:allow statecomplete -- configuration; travels as part of checkpoint Meta.Machine
+	sbi    *SBI     //vaxlint:allow statecomplete -- wiring to the rebuilt SBI
+	depth  int      //vaxlint:allow statecomplete -- configuration; travels as part of checkpoint Meta.Machine
 	drains []uint64 // completion times of buffered writes, ascending
 	stats  WriteBufferStats
 }

@@ -14,9 +14,9 @@ type EntryState struct {
 
 // State captures both halves, the statistics and the parity-error latch.
 type State struct {
-	Halves  [2][SetsPerHalf][Ways]EntryState
-	Stats   Stats
-	FaultVA uint32
+	Halves   [2][SetsPerHalf][Ways]EntryState
+	Stats    Stats
+	FaultVA  uint32
 	HasFault bool
 }
 

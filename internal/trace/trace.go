@@ -265,7 +265,7 @@ func SweepCache(t *Trace, cfgs []cache.Config) []SweepPoint {
 
 // TBGeometry parameterizes the simulated translation buffer.
 type TBGeometry struct {
-	SetsPerHalf int  // sets in each of the process and system halves
+	SetsPerHalf int // sets in each of the process and system halves
 	Ways        int
 	SplitHalves bool // false: one unified array indexed ignoring space
 	FlushOnCtx  bool // honor recorded process flushes

@@ -8,20 +8,20 @@ import "fmt"
 type AddrMode uint8
 
 const (
-	ModeLiteral      AddrMode = iota // S^#lit6 (modes 0-3)
-	ModeRegister                     // Rn
-	ModeRegDeferred                  // (Rn)
-	ModeAutoDec                      // -(Rn)
-	ModeAutoInc                      // (Rn)+
-	ModeAutoIncDef                   // @(Rn)+
-	ModeImmediate                    // (PC)+  I^#const
-	ModeAbsolute                     // @(PC)+ @#addr
-	ModeByteDisp                     // B^d(Rn)
-	ModeByteDispDef                  // @B^d(Rn)
-	ModeWordDisp                     // W^d(Rn)
-	ModeWordDispDef                  // @W^d(Rn)
-	ModeLongDisp                     // L^d(Rn)
-	ModeLongDispDef                  // @L^d(Rn)
+	ModeLiteral     AddrMode = iota // S^#lit6 (modes 0-3)
+	ModeRegister                    // Rn
+	ModeRegDeferred                 // (Rn)
+	ModeAutoDec                     // -(Rn)
+	ModeAutoInc                     // (Rn)+
+	ModeAutoIncDef                  // @(Rn)+
+	ModeImmediate                   // (PC)+  I^#const
+	ModeAbsolute                    // @(PC)+ @#addr
+	ModeByteDisp                    // B^d(Rn)
+	ModeByteDispDef                 // @B^d(Rn)
+	ModeWordDisp                    // W^d(Rn)
+	ModeWordDispDef                 // @W^d(Rn)
+	ModeLongDisp                    // L^d(Rn)
+	ModeLongDispDef                 // @L^d(Rn)
 	numAddrModes
 )
 

@@ -100,12 +100,12 @@ const (
 
 	ADAWI Opcode = 0x58
 
-	ASHL Opcode = 0x78
-	ASHQ Opcode = 0x79
-	EMUL Opcode = 0x7A
-	EDIV Opcode = 0x7B
-	CLRQ Opcode = 0x7C
-	MOVQ Opcode = 0x7D
+	ASHL   Opcode = 0x78
+	ASHQ   Opcode = 0x79
+	EMUL   Opcode = 0x7A
+	EDIV   Opcode = 0x7B
+	CLRQ   Opcode = 0x7C
+	MOVQ   Opcode = 0x7D
 	MOVAQ  Opcode = 0x7E
 	PUSHAQ Opcode = 0x7F
 
@@ -200,8 +200,8 @@ const (
 	MTPR  Opcode = 0xDA
 	MFPR  Opcode = 0xDB
 
-	PUSHL Opcode = 0xDD
-	MOVAL Opcode = 0xDE
+	PUSHL  Opcode = 0xDD
+	MOVAL  Opcode = 0xDE
 	PUSHAL Opcode = 0xDF
 
 	BBS   Opcode = 0xE0

@@ -66,12 +66,12 @@ func (t DataType) String() string {
 type AccessType uint8
 
 const (
-	AccessNone AccessType = iota
-	AccessRead             // operand value is read
-	AccessWrite            // operand location is written
-	AccessModify           // operand is read then written
-	AccessAddr             // address of the operand is computed (no data access)
-	AccessField            // base of a variable bit field (address-like; data access in execute phase)
+	AccessNone   AccessType = iota
+	AccessRead              // operand value is read
+	AccessWrite             // operand location is written
+	AccessModify            // operand is read then written
+	AccessAddr              // address of the operand is computed (no data access)
+	AccessField             // base of a variable bit field (address-like; data access in execute phase)
 )
 
 func (a AccessType) String() string {
@@ -157,5 +157,5 @@ func IPL(psl uint32) uint8 { return uint8((psl & PSLIPLMask) >> PSLIPLShift) }
 
 // WithIPL returns psl with its interrupt priority level replaced.
 func WithIPL(psl uint32, ipl uint8) uint32 {
-	return (psl &^ PSLIPLMask) | (uint32(ipl) << PSLIPLShift) & PSLIPLMask
+	return (psl &^ PSLIPLMask) | (uint32(ipl)<<PSLIPLShift)&PSLIPLMask
 }
