@@ -1,9 +1,6 @@
 package cpu
 
-import (
-	"vax780/internal/mmu"
-	"vax780/internal/vax"
-)
+import "vax780/internal/vax"
 
 // Execute-phase microroutines for the SYSTEM group: change-mode system
 // service requests, REI, context switching, queue manipulation, protection
@@ -173,7 +170,7 @@ func init() {
 		length := uint32(uint16(m.opVal(1)))
 		ok := true
 		for _, va := range []uint32{base, base + length - 1} {
-			if _, err := mmu.Translate(va, &m.MMU, m.Mem); err != nil {
+			if _, err := m.translate(va); err != nil {
 				ok = false
 			}
 		}

@@ -147,9 +147,7 @@ func (ib *ibox) translate(va uint32) (uint32, bool) {
 // consume.
 func (ib *ibox) peek(n int) []byte {
 	out := ib.scratch[:n]
-	for i := 0; i < n; i++ {
-		out[i] = ib.m.readVirtByte(ib.ptr + uint32(i))
-	}
+	ib.m.readBytes(ib.ptr, out)
 	return out
 }
 

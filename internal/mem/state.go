@@ -37,6 +37,7 @@ func (m *Memory) ImportState(st MemoryState) error {
 	copy(m.data, st.Data)
 	m.fault = st.Fault
 	m.hasFault = st.HasFault
+	m.invalidate()
 	return nil
 }
 

@@ -131,3 +131,32 @@ func TestPropertyTranslatePreservesOffset(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestWalkReportsPTEReads: a system-space walk reads one PTE, a process-
+// space walk two (the system PTE mapping the page table, then the page's
+// own), and a caller that watches those addresses for writes knows when
+// the translation can change.
+func TestWalkReportsPTEReads(t *testing.T) {
+	m := mem.New(1 << 20)
+	r := buildTables(t, m)
+	_, reads, err := Walk(0x80000000+5*PageSize, r, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (PTEReads{Addr: [2]uint32{0x10000 + 4*5}, N: 1}); reads != want {
+		t.Errorf("S0 walk reads = %+v, want %+v", reads, want)
+	}
+	_, reads, err = Walk(3*PageSize, r, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The P0 table is S0 page 100 (system PTE at SBR+4*100), and P0 page
+	// 3's PTE sits 12 bytes into frame 100.
+	if want := (PTEReads{Addr: [2]uint32{0x10000 + 4*100, 100*PageSize + 12}, N: 2}); reads != want {
+		t.Errorf("P0 walk reads = %+v, want %+v", reads, want)
+	}
+	_, reads, _ = Walk(3*PageSize, &Registers{}, m)
+	if reads.N != 0 {
+		t.Errorf("untranslated walk read %d PTEs", reads.N)
+	}
+}

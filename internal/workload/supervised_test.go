@@ -13,6 +13,7 @@ import (
 	"vax780/internal/checkpoint"
 	"vax780/internal/core"
 	"vax780/internal/cpu"
+	"vax780/internal/fault"
 )
 
 // histBytes encodes a histogram exactly as vaxsim writes it to disk, so
@@ -51,6 +52,9 @@ func requireIdentical(t *testing.T, name string, base, resumed *Result) {
 	if !reflect.DeepEqual(base.HW, resumed.HW) {
 		t.Errorf("%s: HW counters diverged:\n%+v\n%+v", name, base.HW, resumed.HW)
 	}
+	if base.Faults != resumed.Faults {
+		t.Errorf("%s: fault plane stats diverged:\n%+v\n%+v", name, base.Faults, resumed.Faults)
+	}
 	baseRep := core.Reduce(base.Hist, cpu.CS)
 	resRep := core.Reduce(resumed.Hist, cpu.CS)
 	if baseRep.CPI() != resRep.CPI() {
@@ -63,51 +67,90 @@ func requireIdentical(t *testing.T, name string, base, resumed *Result) {
 // mid-point, checkpointed, and resumed in a fresh session produces a
 // bit-identical histogram and identical counters versus a run that was
 // never interrupted.
+//
+// Each profile runs twice: clean, and with the memory RDS fault point
+// firing (subtest suffix +mem-rds). That point samples every functional
+// PTE and byte read, so the second input proves that the fault schedule,
+// and the machine checks it raises, depend on no state a snapshot drops,
+// such as the functional path's translation memo. The machine checks and
+// RDS samples are pinned at the values the model produced before the memo
+// existed.
 func TestCheckpointResumeDeterminism(t *testing.T) {
 	const cycles = 280_000
+	memRDS := &fault.Config{Seed: 11}
+	memRDS.Sched[fault.MemRDS] = fault.Schedule{Rate: 2e-5, Every: 40_000}
+	// Per profile: HW.MachineChecks and the plane's MemRDS samples.
+	pins := map[string][2]uint64{
+		"rte-commercial":       {37, 867898},
+		"rte-educational":      {38, 894914},
+		"rte-scientific":       {37, 862998},
+		"timesharing-cpudev":   {37, 872911},
+		"timesharing-research": {40, 954132},
+	}
 	for _, p := range All() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
-			base, err := Run(p, cycles, cpu.Config{})
-			if err != nil {
-				t.Fatalf("baseline: %v", err)
+			resumeIdentical(t, p, cycles, nil)
+		})
+		t.Run(p.Name+"+mem-rds", func(t *testing.T) {
+			t.Parallel()
+			base := resumeIdentical(t, p, cycles, memRDS)
+			got := [2]uint64{base.HW.MachineChecks, base.Faults.Samples[fault.MemRDS]}
+			if want, ok := pins[p.Name]; !ok || got != want {
+				t.Errorf("%s: machine checks, RDS samples = %v, pinned %v", p.Name, got, want)
 			}
-
-			dir := filepath.Join(t.TempDir(), "ck")
-			sup := Supervisor{
-				CheckpointDir:   dir,
-				CheckpointEvery: cycles / 4,
-				StopAt:          cycles/2 + 137,
-			}
-			_, err = RunSupervised(context.Background(),
-				Spec{Profile: p, Cycles: cycles, Machine: cpu.Config{}}, sup)
-			var intr *Interrupted
-			if !errors.As(err, &intr) {
-				t.Fatalf("want *Interrupted at the stop mark, got %v", err)
-			}
-			if !errors.Is(err, ErrStopRequested) {
-				t.Fatalf("interruption cause = %v, want ErrStopRequested", intr.Cause)
-			}
-			if intr.Checkpoint == "" {
-				t.Fatal("interruption recorded no checkpoint path")
-			}
-
-			resumed, err := ResumeSupervised(context.Background(), dir, Supervisor{})
-			if err != nil {
-				t.Fatalf("resume: %v", err)
-			}
-			requireIdentical(t, p.Name, base, resumed)
-
-			// The completed run left a final snapshot; resuming it again
-			// reconstructs the same Result without re-running.
-			again, err := ResumeSupervised(context.Background(), dir, Supervisor{})
-			if err != nil {
-				t.Fatalf("resume of completed run: %v", err)
-			}
-			requireIdentical(t, p.Name+"/completed", base, again)
 		})
 	}
+}
+
+// resumeIdentical runs p uninterrupted and as a checkpointed run stopped
+// past its middle and resumed, under the fault config fcfg (nil: none),
+// requires the two to be identical, and returns the uninterrupted result.
+func resumeIdentical(t *testing.T, p Profile, cycles uint64, fcfg *fault.Config) *Result {
+	t.Helper()
+	var plane *fault.Plane
+	if fcfg != nil {
+		plane = fault.NewPlane(*fcfg)
+	}
+	base, err := RunInjected(p, cycles, cpu.Config{}, plane)
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+
+	dir := filepath.Join(t.TempDir(), "ck")
+	sup := Supervisor{
+		CheckpointDir:   dir,
+		CheckpointEvery: cycles / 4,
+		StopAt:          cycles/2 + 137,
+	}
+	_, err = RunSupervised(context.Background(),
+		Spec{Profile: p, Cycles: cycles, Machine: cpu.Config{}, Fault: fcfg}, sup)
+	var intr *Interrupted
+	if !errors.As(err, &intr) {
+		t.Fatalf("want *Interrupted at the stop mark, got %v", err)
+	}
+	if !errors.Is(err, ErrStopRequested) {
+		t.Fatalf("interruption cause = %v, want ErrStopRequested", intr.Cause)
+	}
+	if intr.Checkpoint == "" {
+		t.Fatal("interruption recorded no checkpoint path")
+	}
+
+	resumed, err := ResumeSupervised(context.Background(), dir, Supervisor{})
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	requireIdentical(t, p.Name, base, resumed)
+
+	// The completed run left a final snapshot; resuming it again
+	// reconstructs the same Result without re-running.
+	again, err := ResumeSupervised(context.Background(), dir, Supervisor{})
+	if err != nil {
+		t.Fatalf("resume of completed run: %v", err)
+	}
+	requireIdentical(t, p.Name+"/completed", base, again)
+	return base
 }
 
 // TestCrashConsistencyKillAndResume simulates the crash the format is
