@@ -3,6 +3,7 @@ package vmos
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"vax780/internal/cpu"
 )
@@ -41,11 +42,10 @@ func (s *System) ExportState() (State, error) {
 		DiskDue:    append([]uint64(nil), s.diskDue...),
 		LastCycle:  s.lastCycle,
 		LastPCB:    s.lastPCB,
-		CPUTime:    make(map[uint32]uint64, len(s.cpuTime)),
+		CPUTime:    make(map[uint32]uint64, len(s.charged)),
 	}
-	//vaxlint:allow determinism -- map-to-map copy: the result is a map again, so iteration order cannot reach the snapshot bytes or any simulated state
-	for pcb, t := range s.cpuTime {
-		st.CPUTime[pcb] = t
+	for i, pcb := range s.charged {
+		st.CPUTime[pcb] = s.cpuTime[i]
 	}
 	return st, nil
 }
@@ -64,11 +64,17 @@ func (s *System) ImportState(st State) error {
 	s.diskDue = append([]uint64(nil), st.DiskDue...)
 	s.lastCycle = st.LastCycle
 	s.lastPCB = st.LastPCB
-	s.cpuTime = make(map[uint32]uint64, len(st.CPUTime))
-	//vaxlint:allow determinism -- map-to-map copy: the restored accounting table is order-independent; no simulated state observes the iteration
-	for pcb, t := range st.CPUTime {
-		s.cpuTime[pcb] = t
+	s.charged = make([]uint32, 0, len(st.CPUTime))
+	//vaxlint:allow determinism -- collects the keys, which are sorted before use
+	for pcb := range st.CPUTime {
+		s.charged = append(s.charged, pcb)
 	}
+	slices.Sort(s.charged)
+	s.cpuTime = make([]uint64, len(s.charged))
+	for i, pcb := range s.charged {
+		s.cpuTime[i] = st.CPUTime[pcb]
+	}
+	s.cur = -1
 	return nil
 }
 
