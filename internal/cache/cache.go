@@ -10,7 +10,10 @@
 // on hit/miss behaviour, which is modelled exactly.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Stream identifies the requester class for statistics (§4.2 splits misses
 // into I-stream and D-stream).
@@ -87,6 +90,7 @@ type Cache struct {
 	sets     [][]line
 	setShift uint   //vaxlint:allow statecomplete -- derived from cfg by New
 	setMask  uint32 //vaxlint:allow statecomplete -- derived from cfg by New
+	tagShift uint   //vaxlint:allow statecomplete -- derived from cfg by New
 	stamp    uint64
 	stats    Stats
 	tracer   Tracer //vaxlint:allow statecomplete -- attachment; re-attached after resume
@@ -124,6 +128,7 @@ func New(cfg Config) (*Cache, error) {
 	for cfg.BlockBytes>>c.setShift > 1 {
 		c.setShift++
 	}
+	c.tagShift = c.setShift + uint(bits.TrailingZeros(uint(nSets)))
 	c.sets = make([][]line, nSets)
 	backing := make([]line, nSets*cfg.Ways)
 	for i := range c.sets {
@@ -140,7 +145,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 func (c *Cache) find(pa uint32) (set []line, tag uint32, way int) {
 	idx := (pa >> c.setShift) & c.setMask
-	tag = pa >> c.setShift >> log2(uint32(len(c.sets)))
+	tag = pa >> c.tagShift
 	set = c.sets[idx]
 	for w := range set {
 		if set[w].valid && set[w].tag == tag {
@@ -232,13 +237,4 @@ func (c *Cache) Flush() {
 // BlockBase returns the block-aligned base address containing pa.
 func (c *Cache) BlockBase(pa uint32) uint32 {
 	return pa &^ uint32(c.cfg.BlockBytes-1)
-}
-
-func log2(v uint32) uint {
-	var n uint
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
 }
