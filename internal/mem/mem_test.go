@@ -59,6 +59,61 @@ func TestMemoryBoundsLatchFault(t *testing.T) {
 	m2.TakeFault()
 }
 
+// TestBytesMatchesByte: the bulk read returns what per-byte reads return,
+// including the zeros and the latched address past the end of the array.
+func TestBytesMatchesByte(t *testing.T) {
+	m := New(64)
+	for pa := uint32(0); pa < 64; pa += 4 {
+		m.WriteLong(pa, pa*0x01010101+0x04030201)
+	}
+	for _, pa := range []uint32{0, 13, 60, 62} {
+		got := make([]byte, 4)
+		m.Bytes(pa, got)
+		gotFault, gotOK := m.TakeFault()
+		for i := range got {
+			if want := m.Byte(pa + uint32(i)); got[i] != want {
+				t.Errorf("Bytes(%d)[%d] = %#x, Byte = %#x", pa, i, got[i], want)
+			}
+		}
+		if f, ok := m.TakeFault(); f != gotFault || ok != gotOK {
+			t.Errorf("Bytes(%d) latched %+v %v, Byte latched %+v %v", pa, gotFault, gotOK, f, ok)
+		}
+	}
+}
+
+// TestWatchedFrameWrites: a write into a watched frame, and any Load or
+// ImportState, start a new map generation and unwatch every frame; a
+// write elsewhere changes nothing.
+func TestWatchedFrameWrites(t *testing.T) {
+	m := New(8 << 10)
+	st := m.ExportState()
+	frame := uint32(1) << frameShift
+	cases := []struct {
+		name  string
+		write func()
+		bumps bool
+	}{
+		{"byte outside", func() { m.SetByte(0, 1) }, false},
+		{"longword outside", func() { m.WriteLong(2*frame, 1) }, false},
+		{"byte inside", func() { m.SetByte(frame+5, 1) }, true},
+		{"longword inside", func() { m.WriteLong(frame+8, 1) }, true},
+		{"longword reaching in", func() { m.WriteLong(frame-2, 1) }, true},
+		{"Load elsewhere", func() { m.Load(3*frame, []byte{1}) }, true},
+		{"ImportState", func() { _ = m.ImportState(st) }, true},
+	}
+	for _, c := range cases {
+		m.Watch(frame + 4)
+		gen := m.MapGen()
+		c.write()
+		if bumped := m.MapGen() != gen; bumped != c.bumps {
+			t.Errorf("%s: new generation = %v, want %v", c.name, bumped, c.bumps)
+		}
+		if m.Watched(frame) == c.bumps {
+			t.Errorf("%s: frame still watched = %v", c.name, m.Watched(frame))
+		}
+	}
+}
+
 func TestMemoryRDSInjection(t *testing.T) {
 	m := New(64)
 	m.WriteLong(8, 0x12345678)
