@@ -140,10 +140,13 @@ func (p *Plane) Sample(pt Point) bool {
 }
 
 // Sampler returns a bound sampler for one point, for wiring into a
-// subsystem that should not know about the whole plane. Safe on a nil
-// plane (returns nil, which subsystems treat as "no injection").
+// subsystem that should not know about the whole plane. It returns nil,
+// which subsystems treat as "no injection", on a nil plane and for a
+// point with no schedule: such a point never fires and counts nothing,
+// so leaving it unwired is equivalent and keeps the subsystem's
+// unsampled fast paths.
 func (p *Plane) Sampler(pt Point) func() bool {
-	if p == nil {
+	if p == nil || !p.sched[pt].enabled() {
 		return nil
 	}
 	return func() bool { return p.Sample(pt) }

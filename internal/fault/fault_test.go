@@ -34,6 +34,18 @@ func TestZeroRatePlaneNeverFires(t *testing.T) {
 	if s := p.Stats(); s != (Stats{}) {
 		t.Errorf("zero-rate plane recorded activity: %+v", s)
 	}
+	// So a disabled point is not wired into its subsystem at all.
+	var cfg Config
+	cfg.Sched[CacheParity] = Schedule{Every: 10}
+	one := NewPlane(cfg)
+	for pt := Point(0); pt < NumPoints; pt++ {
+		if p.Sampler(pt) != nil {
+			t.Errorf("zero-rate plane handed out a sampler for %v", pt)
+		}
+		if got := one.Sampler(pt) != nil; got != (pt == CacheParity) {
+			t.Errorf("cache-only plane: sampler for %v present = %v", pt, got)
+		}
+	}
 }
 
 func TestDeterminism(t *testing.T) {
