@@ -27,7 +27,7 @@ gofmt:
 vet:
 	$(GO) vet ./...
 
-# All eighteen analyzers, human-readable; vet is its own target above.
+# All fifteen analyzers, human-readable; vet is its own target above.
 vaxlint:
 	$(GO) run ./cmd/vaxlint -vet=false ./...
 
@@ -103,7 +103,7 @@ bench:
 	$(GO) run ./cmd/vaxbench -out BENCH_step.json
 	$(GO) run ./cmd/vaxbench -farm -chaos "1@3" -out BENCH_farm.json
 
-# Analyzer-suite cost: one module load, then each of the eighteen
+# Analyzer-suite cost: one module load, then each of the fifteen
 # vaxlint analyzers timed over the whole tree with its findings count,
 # appended to the committed BENCH_lint.json ledger — the suite is big
 # enough that its own cost needs a trajectory.

@@ -1,14 +1,13 @@
 // Command vaxlint statically proves the simulator's invariants: opcode
-// table ↔ execute-microroutine registration, microword name references ↔
-// control-store declarations, paper headline numbers ↔ internal/paper,
-// the single-threaded Machine/probe contract, determinism of the
-// measurement core (no wall clock, no global rand, no map iteration
-// reachable from the simulation loop, serializers or checkpoint paths),
-// checkpoint state-completeness, typed boundary errors, and exhaustive
-// enum switches — plus the µflow attribution proofs: every microword
-// counted on the channel its class permits (uwflow), no structurally
-// zero histogram bucket (uwdead), and per-row scoping of the exec files
-// (rowscope) — the hot-path performance contract (hotpath/hotbox), and
+// table ↔ execute-microroutine registration, paper headline numbers ↔
+// internal/paper, the single-threaded Machine/probe contract, determinism
+// of the measurement core (no wall clock, no global rand, no map
+// iteration reachable from the simulation loop, serializers or
+// checkpoint paths), typed boundary errors, and exhaustive enum switches
+// — plus the µflow attribution proofs: every microword counted on the
+// channel its class permits (uwflow), no structurally zero histogram
+// bucket (uwdead), and per-row scoping of the exec files (rowscope) —
+// the hot-path performance contract (hotpath), and
 // the concflow concurrency contracts over the farm: every spawned
 // goroutine has a guaranteed exit path (goleak), every channel exactly
 // one closing owner with no send reachable after the close (chanprot),

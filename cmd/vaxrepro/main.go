@@ -3,11 +3,12 @@
 // figure of Emer & Clark (ISCA 1984) and compared against the published
 // numbers.
 //
-// Long reproductions can be supervised: -checkpoint enables periodic
-// crash-safe snapshots (one subdirectory per workload), -deadline bounds
-// the wall-clock time, SIGINT/SIGTERM trigger a final checkpoint before a
-// clean non-zero exit, and -resume continues an interrupted reproduction
-// with tables bit-identical to an uninterrupted run.
+// The workloads run under the run supervisor: -checkpoint enables
+// periodic crash-safe snapshots (one subdirectory per workload),
+// -deadline bounds the wall-clock time, SIGINT/SIGTERM trigger a final
+// checkpoint before a clean non-zero exit, and -resume continues an
+// interrupted reproduction with tables bit-identical to an uninterrupted
+// run.
 //
 // Usage:
 //
@@ -52,27 +53,18 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "measuring composite: 5 workloads x %d cycles (%.1f simulated seconds)...\n",
 		*cycles, float64(*cycles*5)*float64(cpu.CycleNanoseconds)/1e9)
-	var ctx *experiments.Context
-	if *ckptDir != "" || *deadline != 0 {
-		runCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		sup := workload.Supervisor{CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Deadline: *deadline}
-		comp, err := workload.RunCompositeSupervised(runCtx, *cycles, cpu.Config{}, sup, *resume)
-		if err != nil {
-			var intr *workload.Interrupted
-			if errors.As(err, &intr) && *ckptDir != "" {
-				fatalf("%v (resume with: vaxrepro -resume -checkpoint %s)", intr, *ckptDir)
-			}
-			fatalf("%v", err)
+	runCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	sup := workload.Supervisor{CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Deadline: *deadline}
+	comp, err := workload.RunCompositeSupervised(runCtx, *cycles, cpu.Config{}, sup, *resume)
+	if err != nil {
+		var intr *workload.Interrupted
+		if errors.As(err, &intr) && *ckptDir != "" {
+			fatalf("%v (resume with: vaxrepro -resume -checkpoint %s)", intr, *ckptDir)
 		}
-		ctx = experiments.NewContextFromComposite(comp, cpu.Config{})
-	} else {
-		var err error
-		ctx, err = experiments.NewContext(*cycles, cpu.Config{})
-		if err != nil {
-			fatalf("%v", err)
-		}
+		fatalf("%v", err)
 	}
+	ctx := experiments.NewContextFromComposite(comp, cpu.Config{})
 	outs := experiments.RunAll(ctx)
 	for _, o := range outs {
 		if *only != "" && !strings.EqualFold(o.ID, *only) {

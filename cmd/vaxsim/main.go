@@ -3,11 +3,12 @@
 // to a file for later reduction with upcreport — the paper's two-step
 // measure-then-interpret flow (§2.2).
 //
-// Workload runs can be supervised: -checkpoint enables periodic crash-safe
-// snapshots, -deadline bounds the wall-clock time, SIGINT/SIGTERM trigger
-// a final checkpoint before a clean non-zero exit, and -resume continues
-// from the newest snapshot with results bit-identical to an uninterrupted
-// run.
+// Workload runs go through the run supervisor: -checkpoint enables
+// periodic crash-safe snapshots, -deadline bounds the wall-clock time,
+// SIGINT/SIGTERM trigger a final checkpoint before a clean non-zero exit,
+// and -resume continues from the newest snapshot with results
+// bit-identical to an uninterrupted run. Without -checkpoint or -deadline
+// the supervisor writes no checkpoints and sets no deadline.
 //
 // Usage:
 //
@@ -83,20 +84,7 @@ func main() {
 		if !ok {
 			fatalf("unknown workload %q (try -list)", *wl)
 		}
-		var res *workload.Result
-		if *ckptDir != "" || *deadline != 0 {
-			res = runSupervised(&p, *ckptDir, *ckptEvery, *deadline, false, fcfg, *cycles)
-		} else {
-			var plane *fault.Plane
-			if fcfg != nil {
-				plane = fault.NewPlane(*fcfg)
-			}
-			var err error
-			res, err = workload.RunInjected(p, *cycles, cpu.Config{}, plane)
-			if err != nil {
-				fatalf("%v", err)
-			}
-		}
+		res := runSupervised(&p, *ckptDir, *ckptEvery, *deadline, false, fcfg, *cycles)
 		hist = res.Hist
 		fmt.Fprintf(os.Stderr, "vaxsim: %s: %d instructions, %d cycles (%.2f CPI)\n",
 			p.Name, res.Instructions, res.Cycles, float64(res.Cycles)/float64(res.Instructions))

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -50,27 +51,52 @@ func (n *allowNote) covers(analyzer string) bool {
 }
 
 // buildAllowIndex scans the comments of pkgs for allow notes. A note is
-// indexed at its own line (suppressing trailing-comment findings) and at
-// the line below (suppressing findings on the annotated statement when
-// the comment stands alone above it).
+// indexed at its own line (suppressing trailing-comment findings) and,
+// when the comment stands alone on its line, at the line below
+// (suppressing findings on the statement it annotates). A trailing note
+// excuses its own line only: it must not leak onto the next declaration.
 func buildAllowIndex(pkgs []*Package) allowIndex {
 	idx := make(allowIndex)
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
+			var code map[int]bool // built on the file's first note
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					if !strings.HasPrefix(c.Text, allowPrefix) {
 						continue
 					}
+					if code == nil {
+						code = codeLines(pkg.Fset, f)
+					}
 					note := parseAllow(c.Text, c.Pos())
 					p := pkg.Fset.Position(c.Pos())
 					idx[allowKey{p.Filename, p.Line}] = note
-					idx[allowKey{p.Filename, p.Line + 1}] = note
+					if !code[p.Line] {
+						idx[allowKey{p.Filename, p.Line + 1}] = note
+					}
 				}
 			}
 		}
 	}
 	return idx
+}
+
+// codeLines returns the lines of f on which some syntax node starts or
+// ends. Code sharing a line with a comment always puts a node boundary
+// there, so a comment on any other line stands alone.
+func codeLines(fset *token.FileSet, f *ast.File) map[int]bool {
+	tf := fset.File(f.Pos())
+	lines := make(map[int]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.CommentGroup:
+			return false
+		}
+		lines[tf.Line(n.Pos())] = true
+		lines[tf.Line(n.End())] = true
+		return true
+	})
+	return lines
 }
 
 // parseAllow splits "//vaxlint:allow a,b -- reason" into its parts. A
@@ -127,17 +153,11 @@ func validateAllows(idx allowIndex, known map[string]bool, fset *token.FileSet, 
 // Allowed reports whether a finding of this pass's analyzer at pos is
 // suppressed by a justified allow note. Analyzers that aggregate
 // findings across functions (determinism) call it at collection time so
-// an excused site never enters a fact; Reportf calls it for everyone
-// else. Notes without a justification never suppress — they are
-// themselves findings.
+// an excused site never enters a fact, and the hot-set builder
+// (hotset.go) calls it to prune cold functions; Reportf calls it for
+// everyone else. Notes without a justification never suppress — they
+// are themselves findings.
 func (p *Pass) Allowed(pos token.Pos) bool {
-	return p.allowedAs(p.Analyzer.Name, pos)
-}
-
-// allowedAs is Allowed for an arbitrary analyzer name. The hot-set
-// builder (hotset.go) uses it to prune cold functions for both hotpath
-// and hotbox through one //vaxlint:allow hotpath note on the declaration.
-func (p *Pass) allowedAs(name string, pos token.Pos) bool {
 	if p.allows == nil {
 		return false
 	}
@@ -146,7 +166,7 @@ func (p *Pass) allowedAs(name string, pos token.Pos) bool {
 	if !ok {
 		return false
 	}
-	return note.covers(name) && note.reason != ""
+	return note.covers(p.Analyzer.Name) && note.reason != ""
 }
 
 // AllowEntry is one //vaxlint:allow note of the load, as listed by

@@ -207,11 +207,11 @@ func runOne(a *Analyzer, pkgs []*Package, sharedFset *token.FileSet, allows allo
 	return diags, nil
 }
 
-// All is the vaxlint suite in reporting order: the four cross-table
-// analyzers from the original suite, the four determinism-contract
+// All is the vaxlint suite in reporting order: the three cross-table
+// analyzers from the original suite, the three determinism-contract
 // analyzers built on the fact layer, the three µflow attribution
 // analyzers built on the CFG + dataflow layer (cfg.go, dataflow.go,
-// uwmodel.go), the two hot-path perf-contract analyzers built on the
+// uwmodel.go), the hot-path perf-contract analyzer built on the
 // callgraph's function-value and interface approximations (hotset.go),
 // the four concflow concurrency-contract analyzers built on the
 // goroutine/channel model (concmodel.go), and the ulat latency-oracle
@@ -219,10 +219,10 @@ func runOne(a *Analyzer, pkgs []*Package, sharedFset *token.FileSet, allows allo
 // bounds.
 func All() []*Analyzer {
 	return []*Analyzer{
-		ExecTable, UWRef, PaperConst, ProbeSafe,
-		Determinism, StateComplete, TypedErr, Exhaustive,
+		ExecTable, PaperConst, ProbeSafe,
+		Determinism, TypedErr, Exhaustive,
 		UWFlow, UWDead, RowScope,
-		HotPath, HotBox,
+		HotPath,
 		GoLeak, ChanProt, CtxFlow, OneWriter,
 		ULat,
 	}

@@ -6,21 +6,31 @@ import (
 	"go/types"
 )
 
-// HotPath proves the per-cycle allocation contract of the measurement
-// loop: on every path the CFG proves reachable from Machine.Step*/Run/
-// RunCtx, nothing may allocate. The paper's method divides wall-clock by
-// cycles; a single make() in the specifier decode path turns every
-// measurement into a benchmark of the Go allocator instead of the
-// machine model, and — worse — does it silently, because the histogram
-// stays self-consistent. The analyzer flags, with the call chain from
-// the root that reaches them:
+// HotPath proves the per-cycle cost contract of the measurement loop: on
+// every path the CFG proves reachable from Machine.Step*/Run/RunCtx,
+// nothing may allocate, box into an interface, format through fmt, or
+// touch a map. The paper's method divides wall-clock by cycles; a single
+// make() in the specifier decode path turns every measurement into a
+// benchmark of the Go allocator instead of the machine model, and a map
+// lookup in the opcode dispatch puts Go's hash probe inside every
+// "microcycle" while the histogram keeps claiming the cycle went to the
+// VAX — both silently, because the histogram stays self-consistent. The
+// analyzer flags, with the call chain from the root that reaches them:
 //
 //   - make/new and slice/map composite literals (heap, growth);
 //   - &T{} composite literals whose address escapes the statement;
 //   - function literals and method values (closure allocation);
 //   - defer (runtime bookkeeping per cycle, on top of the closure);
 //   - append (amortized growth of the backing array);
-//   - go statements (a goroutine per cycle is never intended here).
+//   - go statements (a goroutine per cycle is never intended here);
+//   - fmt.* calls (reflection-driven formatting per cycle);
+//   - explicit conversions of concrete non-pointer values to interface
+//     types, and implicit ones at call arguments and assignments
+//     (pointers ride in the interface word without allocating and stay
+//     silent; a call whose static callee is a pruned cold function is a
+//     cold site and its arguments are not judged);
+//   - map iteration (nondeterministic order — also a determinism hazard)
+//     and map indexing.
 //
 // The escape judgment is an approximation, deliberately coarser than the
 // compiler's: it flags what *may* allocate, and the justified cold
@@ -33,7 +43,7 @@ import (
 // contract and its pinned over-approximations.
 var HotPath = &Analyzer{
 	Name:        "hotpath",
-	Doc:         "nothing reachable from Machine.Step*/Run may allocate per cycle (make, escaping literals, closures, defer, append growth)",
+	Doc:         "nothing reachable from Machine.Step*/Run may allocate, box into an interface, call fmt, or touch a map per cycle",
 	ModuleLevel: true,
 	Run:         runHotPath,
 }
@@ -43,6 +53,7 @@ func runHotPath(pass *Pass) error {
 	for _, n := range hs.nodes {
 		hs.scanHot(n, func(stack []ast.Node, node ast.Node) bool {
 			checkHotAlloc(pass, n, stack, node)
+			checkHotBox(pass, n, node)
 			return true
 		})
 	}
@@ -90,7 +101,7 @@ const (
 	// escSilent: the literal is a plain value copy (struct or array, address
 	// never taken at the literal). The analyzer makes no allocation claim —
 	// if such a value heap-allocates it is through an interface conversion,
-	// which is hotbox's finding, anchored at the conversion.
+	// which checkHotBox reports, anchored at the conversion.
 	escSilent escVerdict = iota
 	// escStack: the analyzer claims the backing storage stays on the stack
 	// (a slice literal ranged over in place).
@@ -193,4 +204,102 @@ func builtinName(info *types.Info, call *ast.CallExpr) string {
 		return b.Name()
 	}
 	return ""
+}
+
+func checkHotBox(pass *Pass, n *hotNode, node ast.Node) {
+	info := n.pkg.Info
+	switch x := node.(type) {
+	case *ast.CallExpr:
+		if tv, ok := info.Types[x.Fun]; ok && tv.IsType() {
+			if len(x.Args) == 1 && boxes(tv.Type, info.TypeOf(x.Args[0])) {
+				pass.Reportf(x.Pos(),
+					"hot path (%s): conversion boxes %s into %s per cycle", n.chain,
+					typeName(info.TypeOf(x.Args[0])), typeName(tv.Type))
+			}
+			return
+		}
+		fn := Callee(info, x)
+		if fn == nil {
+			return
+		}
+		if fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
+			pass.Reportf(x.Pos(),
+				"hot path (%s): fmt.%s formats through reflection per cycle", n.chain, fn.Name())
+			return
+		}
+		sig, ok := fn.Type().(*types.Signature)
+		if !ok {
+			return
+		}
+		for i, arg := range x.Args {
+			pt := paramType(sig, i)
+			if pt != nil && boxes(pt, info.TypeOf(arg)) {
+				pass.Reportf(arg.Pos(),
+					"hot path (%s): argument boxes %s into %s per cycle in the call to %s",
+					n.chain, typeName(info.TypeOf(arg)), typeName(pt), fn.Name())
+			}
+		}
+	case *ast.AssignStmt:
+		if len(x.Lhs) != len(x.Rhs) {
+			return
+		}
+		for i, lhs := range x.Lhs {
+			lt := info.TypeOf(lhs)
+			if lt != nil && boxes(lt, info.TypeOf(x.Rhs[i])) {
+				pass.Reportf(x.Rhs[i].Pos(),
+					"hot path (%s): assignment boxes %s into %s per cycle",
+					n.chain, typeName(info.TypeOf(x.Rhs[i])), typeName(lt))
+			}
+		}
+	case *ast.RangeStmt:
+		if t := info.TypeOf(x.X); t != nil {
+			if _, ok := types.Unalias(t).Underlying().(*types.Map); ok {
+				pass.Reportf(x.Pos(),
+					"hot path (%s): map iteration per cycle (nondeterministic order, hash-probe cost)", n.chain)
+			}
+		}
+	case *ast.IndexExpr:
+		if t := info.TypeOf(x.X); t != nil {
+			if _, ok := types.Unalias(t).Underlying().(*types.Map); ok {
+				pass.Reportf(x.Pos(),
+					"hot path (%s): map lookup per cycle; replace with a dense table", n.chain)
+			}
+		}
+	}
+}
+
+// boxes reports whether storing a value of type src into a location of
+// type dst boxes: dst is an interface, src is a concrete non-pointer
+// type. Pointers (and nil, whose type is untyped) fit in the interface
+// word without allocating; interface-to-interface copies do not box.
+func boxes(dst, src types.Type) bool {
+	if dst == nil || src == nil {
+		return false
+	}
+	if !types.IsInterface(dst.Underlying()) {
+		return false
+	}
+	if types.IsInterface(src.Underlying()) {
+		return false
+	}
+	if b, ok := src.Underlying().(*types.Basic); ok && b.Info()&types.IsUntyped != 0 {
+		return false // nil, untyped constants: no runtime value to box here
+	}
+	if _, ok := src.Underlying().(*types.Pointer); ok {
+		return false
+	}
+	return true
+}
+
+func typeName(t types.Type) string {
+	if t == nil {
+		return "?"
+	}
+	if named, ok := types.Unalias(t).(*types.Named); ok && named.Obj() != nil {
+		if named.Obj().Pkg() != nil {
+			return named.Obj().Pkg().Name() + "." + named.Obj().Name()
+		}
+		return named.Obj().Name()
+	}
+	return t.String()
 }

@@ -15,8 +15,8 @@ import (
 // *named* function types resolve to every value of that type collected by
 // FuncValues (the execTable shape), and calls through module-declared
 // interfaces resolve to every implementing method in the load (the Probe
-// shape). Both hotpath and hotbox walk this one set, so the perf contract
-// has a single definition of "hot".
+// shape). hotpath scans this set with both of its rule sets (allocation
+// and dispatch shape), so the perf contract has one definition of "hot".
 //
 // A function is pruned from the set — not entered, not scanned — when its
 // declaration line carries a justified //vaxlint:allow hotpath note: that
@@ -29,12 +29,6 @@ import (
 // block are skipped (code after return/goto, after-blocks of `for {}`);
 // everything else counts as "reachable per cycle". Panic edges are not
 // modeled, matching cfg.go.
-
-// hotAllowName is the analyzer name a cold-slice allow must cover; a
-// named string (not HotPath.Name) so buildHotSet, which runHotPath
-// references, does not close an initialization cycle with the Analyzer
-// value.
-const hotAllowName = "hotpath"
 
 // hotNode is one function body in the hot set.
 type hotNode struct {
@@ -104,7 +98,7 @@ func (hs *hotSet) isColdFn(fn *types.Func) bool {
 	if !ok {
 		return false
 	}
-	return hs.pass.allowedAs(hotAllowName, d.decl.Pos())
+	return hs.pass.Allowed(d.decl.Pos())
 }
 
 // buildHotSet computes the hot set over the whole load.
@@ -145,7 +139,7 @@ func buildHotSet(pass *Pass) *hotSet {
 		if hs.byLit[lit] != nil {
 			return
 		}
-		if hs.pass.allowedAs(hotAllowName, lit.Pos()) {
+		if hs.pass.Allowed(lit.Pos()) {
 			return
 		}
 		pos := pkg.Fset.Position(lit.Pos())

@@ -14,10 +14,6 @@ func TestExecTable(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.ExecTable, "exectable")
 }
 
-func TestUWRef(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.UWRef, "uwref")
-}
-
 func TestPaperConst(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.PaperConst, "paperconst")
 }
@@ -28,10 +24,6 @@ func TestProbeSafe(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Determinism, "determinism")
-}
-
-func TestStateComplete(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.StateComplete, "statecomplete")
 }
 
 func TestTypedErr(t *testing.T) {
@@ -58,17 +50,17 @@ func TestHotPath(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.HotPath, "hotpath")
 }
 
+// TestHotBox runs hotpath over the boxing, fmt and map shapes of the
+// tick path.
 func TestHotBox(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.HotBox, "hotbox")
+	analysistest.Run(t, "testdata", analysis.HotPath, "hotbox")
 }
 
-// TestHotClean proves both hot-path analyzers stay silent on a stepping
-// loop that dispatches through a handler table and an interface probe but
-// never allocates or boxes on a reachable path.
+// TestHotClean proves hotpath stays silent on a stepping loop that
+// dispatches through a handler table and an interface probe but never
+// allocates or boxes on a reachable path.
 func TestHotClean(t *testing.T) {
-	for _, a := range []*analysis.Analyzer{analysis.HotPath, analysis.HotBox} {
-		analysistest.Run(t, "testdata", a, "hotclean")
-	}
+	analysistest.Run(t, "testdata", analysis.HotPath, "hotclean")
 }
 
 func TestGoLeak(t *testing.T) {
@@ -102,8 +94,8 @@ func TestConcClean(t *testing.T) {
 // TestSuiteSize pins the suite's advertised size: growing it without
 // updating the docs (README, Makefile) should fail loudly here.
 func TestSuiteSize(t *testing.T) {
-	if got := len(analysis.All()); got != 18 {
-		t.Fatalf("analysis.All() reports %d analyzers, want 18", got)
+	if got := len(analysis.All()); got != 15 {
+		t.Fatalf("analysis.All() reports %d analyzers, want 15", got)
 	}
 }
 
@@ -214,6 +206,13 @@ func TestAllowValidation(t *testing.T) {
 	if len(diags) != len(wants) {
 		t.Errorf("got %d diagnostics, want %d:\n%s", len(diags), len(wants), diagDump(diags))
 	}
+}
+
+// TestAllowTrailing checks that a note trailing code does not leak onto
+// the next line: the make below a trailing hotpath note is still a
+// finding, while a standalone note still excuses the line under it.
+func TestAllowTrailing(t *testing.T) {
+	analysistest.Run(t, "testdata", analysis.HotPath, "allowtrail")
 }
 
 // TestCollectAllows pins the audit listing behind `vaxlint -allows`: one

@@ -1,4 +1,4 @@
-// Package hotbox seeds the dispatch shapes the hotbox analyzer flags on
+// Package hotbox seeds the dispatch shapes the hotpath analyzer flags on
 // the tick path: fmt calls, explicit and implicit interface boxing, map
 // iteration and map lookup — plus the silent shapes (a pointer riding in
 // the interface word, interface-to-interface copies, arguments of a
@@ -29,7 +29,7 @@ func (m *Machine) Step() {
 	var o any = m.sink
 	m.sink = o // silent: interface-to-interface copy
 	m.cold(m.cycle)
-	//vaxlint:allow hotbox -- cold: reached only on the error path of a decode the caller aborts on
+	//vaxlint:allow hotpath -- cold: reached only on the error path of a decode the caller aborts on
 	m.take(m.tab[0])
 }
 

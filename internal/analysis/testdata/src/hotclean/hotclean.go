@@ -1,8 +1,8 @@
-// Package hotclean is the negative fixture for the two hot-path
-// analyzers: a stepping loop with table dispatch through a named function
-// type, an interface probe, reslicing, value copies and a justified cold
-// slice — and not one heap allocation, boxing, or map touch on any
-// reachable path. hotpath and hotbox must both stay silent.
+// Package hotclean is the negative fixture for the hotpath analyzer: a
+// stepping loop with table dispatch through a named function type, an
+// interface probe, reslicing, value copies and a justified cold slice —
+// and not one heap allocation, boxing, or map touch on any reachable
+// path. hotpath must stay silent.
 package hotclean
 
 type Machine struct {

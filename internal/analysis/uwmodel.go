@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -13,7 +14,7 @@ import (
 // rowscope) share one view of the world:
 //
 //   - a *handle* is one Define()d microword: its folded name (wildcards
-//     for computed segments, exactly as uwref folds them), its declared
+//     for computed segments; see foldName), its declared
 //     ucode.Row and ucode.Class — identified by the *names* of the
 //     constants, so fixtures with a mirror mini-ucode package exercise
 //     the same code paths as the real tree;
@@ -205,7 +206,7 @@ func (m *uwModel) bind(obj types.Object, idx int) {
 
 // uwTemplate is a Define whose name or row depends on parameters of its
 // enclosing builder function; it is instantiated at the builder's call
-// sites, exactly like uwref instantiates name templates.
+// sites.
 type uwTemplate struct {
 	fn         *types.Func
 	params     []string // parameter names in call-argument order
@@ -984,4 +985,181 @@ func (m *uwModel) handleNames(v valueSet) string {
 		names = append(names[:3], "…")
 	}
 	return strings.Join(names, ", ")
+}
+
+// Microword name folding. Microword names are dot-paths
+// ("exec.br.cond.entry"); a Define name expression folds to a string in
+// which computed segments become '*' wildcards and references to the
+// enclosing builder's parameters become "\x00param\x00" markers, which
+// instantiate replaces with the arguments at the builder's call sites.
+
+// enclosingFunc returns the innermost function declaration on the stack.
+func enclosingFunc(stack []ast.Node) *ast.FuncDecl {
+	for i := len(stack) - 1; i >= 0; i-- {
+		if fd, ok := stack[i].(*ast.FuncDecl); ok {
+			return fd
+		}
+	}
+	return nil
+}
+
+// paramNames lists a function's parameter names in call-argument order.
+func paramNames(fd *ast.FuncDecl) []string {
+	if fd == nil || fd.Type.Params == nil {
+		return nil
+	}
+	var out []string
+	for _, f := range fd.Type.Params.List {
+		for _, n := range f.Names {
+			out = append(out, n.Name)
+		}
+	}
+	return out
+}
+
+// isDefineCall recognises the project's two declaration spellings:
+// the package-local helper def(...) and the Store.Define(...) method.
+func isDefineCall(call *ast.CallExpr) bool {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return fun.Name == "def"
+	case *ast.SelectorExpr:
+		return fun.Sel.Name == "Define"
+	}
+	return false
+}
+
+// foldName folds a Define name expression into a string where computed
+// segments become "*" and references to enclosing-function parameters
+// become "\x00param\x00" markers. usesParam reports whether any marker
+// was produced.
+func foldName(pkg *Package, e ast.Expr, params []string) (string, bool) {
+	switch e := e.(type) {
+	case *ast.BasicLit:
+		if e.Kind == token.STRING {
+			if s, err := strconv.Unquote(e.Value); err == nil {
+				return s, false
+			}
+		}
+	case *ast.BinaryExpr:
+		if e.Op == token.ADD {
+			l, lp := foldName(pkg, e.X, params)
+			r, rp := foldName(pkg, e.Y, params)
+			return collapseStars(l + r), lp || rp
+		}
+	case *ast.Ident:
+		for _, p := range params {
+			if e.Name == p {
+				return "\x00" + p + "\x00", true
+			}
+		}
+		if c, ok := pkg.Info.Uses[e].(*types.Const); ok {
+			if c.Val().Kind() == constant.String {
+				return constant.StringVal(c.Val()), false
+			}
+		}
+	case *ast.CallExpr:
+		if sel, ok := e.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sprintf" && len(e.Args) > 0 {
+			if f, ok := e.Args[0].(*ast.BasicLit); ok && f.Kind == token.STRING {
+				if format, err := strconv.Unquote(f.Value); err == nil {
+					return foldSprintf(pkg, format, e.Args[1:], params)
+				}
+			}
+		}
+	}
+	return "*", false
+}
+
+// foldSprintf substitutes the folded verb arguments into a Sprintf format.
+func foldSprintf(pkg *Package, format string, args []ast.Expr, params []string) (string, bool) {
+	var sb strings.Builder
+	usesParam := false
+	arg := 0
+	for i := 0; i < len(format); i++ {
+		if format[i] != '%' {
+			sb.WriteByte(format[i])
+			continue
+		}
+		if i+1 < len(format) && format[i+1] == '%' {
+			sb.WriteByte('%')
+			i++
+			continue
+		}
+		// Skip flags/width to the verb character.
+		j := i + 1
+		for j < len(format) && !isVerbChar(format[j]) {
+			j++
+		}
+		i = j
+		if arg < len(args) {
+			s, p := foldName(pkg, args[arg], params)
+			sb.WriteString(s)
+			usesParam = usesParam || p
+			arg++
+		} else {
+			sb.WriteString("*")
+		}
+	}
+	return collapseStars(sb.String()), usesParam
+}
+
+func isVerbChar(c byte) bool {
+	return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+}
+
+func collapseStars(s string) string {
+	for strings.Contains(s, "**") {
+		s = strings.ReplaceAll(s, "**", "*")
+	}
+	return s
+}
+
+// wildcardMarkers turns leftover parameter markers into wildcards.
+func wildcardMarkers(s string) string {
+	var sb strings.Builder
+	in := false
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\x00' {
+			if !in {
+				sb.WriteByte('*')
+			}
+			in = !in
+			continue
+		}
+		if !in {
+			sb.WriteByte(s[i])
+		}
+	}
+	return sb.String()
+}
+
+// globsIntersect reports whether two patterns over literal characters and
+// '*' wildcards can match a common string.
+func globsIntersect(a, b string) bool {
+	type key struct{ i, j int }
+	memo := make(map[key]int) // 0 unknown, 1 true, 2 false
+	var rec func(i, j int) bool
+	rec = func(i, j int) bool {
+		k := key{i, j}
+		if v := memo[k]; v != 0 {
+			return v == 1
+		}
+		memo[k] = 2
+		var res bool
+		switch {
+		case i == len(a) && j == len(b):
+			res = true
+		case i < len(a) && a[i] == '*':
+			res = rec(i+1, j) || (j < len(b) && rec(i, j+1))
+		case j < len(b) && b[j] == '*':
+			res = rec(i, j+1) || (i < len(a) && rec(i+1, j))
+		case i < len(a) && j < len(b) && a[i] == b[j]:
+			res = rec(i+1, j+1)
+		}
+		if res {
+			memo[k] = 1
+		}
+		return res
+	}
+	return rec(0, 0)
 }

@@ -86,16 +86,16 @@ type Tracer interface {
 
 // Cache is a set-associative timing cache indexed by physical address.
 type Cache struct {
-	cfg      Config //vaxlint:allow statecomplete -- travels as part of checkpoint Meta.Machine
+	cfg      Config
 	sets     [][]line
-	setShift uint   //vaxlint:allow statecomplete -- derived from cfg by New
-	setMask  uint32 //vaxlint:allow statecomplete -- derived from cfg by New
-	tagShift uint   //vaxlint:allow statecomplete -- derived from cfg by New
+	setShift uint
+	setMask  uint32
+	tagShift uint
 	stamp    uint64
 	stats    Stats
-	tracer   Tracer //vaxlint:allow statecomplete -- attachment; re-attached after resume
+	tracer   Tracer
 
-	inject    func() bool //vaxlint:allow statecomplete -- attachment derived from the fault plane (parity sampler, nil = never)
+	inject    func() bool // parity fault sampler (nil = never)
 	faultAddr uint32
 	hasFault  bool
 }

@@ -5,10 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"vax780/internal/cpu"
@@ -211,5 +213,40 @@ func TestDirIgnoresStaleTemp(t *testing.T) {
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Fatalf("stale temp file survived Save: %v", err)
+	}
+}
+
+// TestWriteFile pins the atomic-write contract: while write runs, the
+// bytes go to a .tmp file (which Dir prunes); a failed write leaves
+// nothing behind; a successful one leaves exactly the target.
+func TestWriteFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "result.upc")
+	boom := errors.New("boom")
+	err := WriteFile(path, func(w io.Writer) error {
+		ents, err := os.ReadDir(dir)
+		if err != nil || len(ents) != 1 || !strings.HasSuffix(ents[0].Name(), ".tmp") {
+			t.Errorf("during write the directory holds %v (%v), want one .tmp file", ents, err)
+		}
+		w.Write([]byte("half"))
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failed write returned %v, want the write's own error", err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("failed write left %v behind", ents)
+	}
+	if err := WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write([]byte("whole"))
+		return err
+	}); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "whole" {
+		t.Fatalf("target holds %q (%v), want %q", data, err, "whole")
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("successful write left %v, want only the target", ents)
 	}
 }

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -61,30 +62,40 @@ func name(cycle uint64) string {
 // returns the path of the written generation.
 func (d *Dir) Save(s *Snapshot) (string, error) {
 	final := filepath.Join(d.path, name(s.Meta.Cycle))
-	tmp, err := os.CreateTemp(d.path, "ckpt-*"+tmpSuffix)
-	if err != nil {
-		return "", fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := Encode(tmp, s); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	if err := WriteFile(final, func(w io.Writer) error { return Encode(w, s) }); err != nil {
 		return "", err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("checkpoint: %w", err)
 	}
 	d.prune()
 	return final, nil
+}
+
+// WriteFile writes path atomically: write fills a temporary file in the
+// same directory, named with the .tmp suffix, which is synced and then
+// renamed to path. A crash mid-write leaves a .tmp file — which the next
+// Save into that directory prunes — never a half-written file under
+// path. write's own error is returned as is.
+func WriteFile(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*"+tmpSuffix)
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	if err := write(tmp); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
+	err = tmp.Sync()
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	return nil
 }
 
 // Generations returns the snapshot files present, oldest first. Temp

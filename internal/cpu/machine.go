@@ -86,7 +86,7 @@ type IRQ struct {
 
 // Machine is a complete VAX-11/780.
 type Machine struct {
-	cfg Config //vaxlint:allow statecomplete -- travels as checkpoint Meta.Machine; the resume path rebuilds with cpu.New
+	cfg Config
 
 	Mem   *mem.Memory
 	SBI   *mem.SBI
@@ -95,7 +95,7 @@ type Machine struct {
 	TLB   *tb.TB
 	MMU   mmu.Registers
 
-	xm xmemo //vaxlint:allow statecomplete -- derived: functional translation memo, refilled from memory and MMU on demand
+	xm xmemo // functional-path translation memo (xmemo.go)
 
 	// Architectural state.
 	R   [16]uint32 // R15 (PC) is shadowed by the IB pointer; see PCVal
@@ -104,10 +104,10 @@ type Machine struct {
 
 	// Microarchitectural state.
 	ib         ibox
-	ops        [6]operand  //vaxlint:allow statecomplete -- per-instruction decode scratch, rewritten before any use
-	nops       int         //vaxlint:allow statecomplete -- per-instruction decode scratch
-	instr      *vax.OpInfo //vaxlint:allow statecomplete -- per-instruction decode scratch
-	instPC     uint32      //vaxlint:allow statecomplete -- per-instruction decode scratch
+	ops        [6]operand  // decoded operands of the current instruction
+	nops       int         // operands in use
+	instr      *vax.OpInfo // the current instruction
+	instPC     uint32      // its PC
 	cycle      uint64
 	instret    uint64
 	upc        uint16 // control-store location of the last cycle
@@ -115,46 +115,44 @@ type Machine struct {
 	haltReason HaltReason
 	runErr     error
 
-	probe Probe //vaxlint:allow statecomplete -- attachment; the resume path re-attaches the monitor
+	probe Probe // attached monitor
 	gate  bool  // monitor count enable (vmos drops it for the null process)
 
 	irqs    []IRQ // time-ordered external interrupt requests
 	nextIRQ int
 
 	lastPCChange bool // previous instruction changed the PC (DecodeOverlap ablation)
-	inExc        bool //vaxlint:allow statecomplete -- false at every instruction boundary (snapshots are taken there); ImportState re-clears it
-	instAborted  bool //vaxlint:allow statecomplete -- false at every instruction boundary; ImportState re-clears it
+	inExc        bool // an exception is being delivered
+	instAborted  bool // the current instruction faulted; skip its remaining phases
 	patchCtr     int  // instructions until the next patched microword
 
 	// Progress watchdog (see SetWatchdog): a machine that burns wdLimit
 	// cycles without retiring an instruction is stopped with a structured
 	// error instead of spinning forever.
-	wdLimit      uint64 //vaxlint:allow statecomplete -- supervisor configuration, re-armed by the supervisor on resume
+	wdLimit      uint64
 	wdLastRetire uint64 // cycle at which the last instruction retired
 
 	// Machine-check state (see mcheck.go).
-	plane     *fault.Plane //vaxlint:allow statecomplete -- attachment; rebuilt from Meta.Fault, stream positions travel as FaultState
-	csSample  func() bool  //vaxlint:allow statecomplete -- attachment derived from the plane (control-store parity sampler, nil = never)
+	plane     *fault.Plane // attached fault plane
+	csSample  func() bool  // its control-store parity sampler (nil = never)
 	pendMC    pendingMC
 	mcPending bool
 	mcActive  bool // a machine check is being handled (cleared by REI)
 
 	// Hardware event counters (not monitor-visible; used for cross-checks).
-	// They travel as State.HW: ExportState captures them through the HW()
-	// accessor, an indirection the statecomplete analyzer cannot follow,
-	// so each carries the exemption naming that path.
-	unaligned     uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.Unaligned
-	sirrRequests  uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.SIRRRequests
-	irqDelivered  uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.Interrupts
-	exceptions    uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.Exceptions
-	ctxSwitches   uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.CtxSwitches
-	machineChecks uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.MachineChecks
-	mcLost        uint64              //vaxlint:allow statecomplete -- exported via HW() into State.HW.MachineChecksLost
-	mcByCause     [NumMCCauses]uint64 //vaxlint:allow statecomplete -- exported via HW() into State.HW.MachineChecksByCause
+	// They travel as State.HW, captured through the HW() accessor.
+	unaligned     uint64
+	sirrRequests  uint64
+	irqDelivered  uint64
+	exceptions    uint64
+	ctxSwitches   uint64
+	machineChecks uint64
+	mcLost        uint64
+	mcByCause     [NumMCCauses]uint64
 
 	// OnInstruction, if set, runs between instructions (used by the OS
 	// layer for scheduling decisions and by the RTE for terminal events).
-	OnInstruction func(m *Machine) //vaxlint:allow statecomplete -- attachment; vmos re-installs its scheduler hook on boot
+	OnInstruction func(m *Machine)
 }
 
 // New builds a machine.

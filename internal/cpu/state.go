@@ -23,8 +23,9 @@ import (
 //     which are dead at the boundary where checkpoints are taken;
 //   - the sticky error state: a stopped machine cannot be checkpointed.
 //
-// The completeness test in internal/checkpoint walks Machine's fields
-// against this struct and an explicit exemption table, so a new field
+// The round-trip test in internal/checkpoint perturbs every field of this
+// struct, imports it into a fresh machine, and requires every Machine
+// field outside an explicit exemption table to change, so a new field
 // cannot be silently dropped from the snapshot.
 
 // IBState is the serialized state of the I-Fetch unit.

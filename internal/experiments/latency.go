@@ -31,7 +31,7 @@ import (
 // latProbe is the measurement histogram: exec-channel counts only.
 // Stalls are timing, not attribution, and the static side carries no
 // stall bounds. Counts live in a dense table — Count runs once per
-// machine cycle, inside the hot path the hotbox analyzer prices.
+// machine cycle, inside the hot path the hotpath analyzer prices.
 type latProbe struct {
 	counts [ucode.StoreSize]uint64
 }

@@ -266,6 +266,10 @@ func TestFarmRetryAndShed(t *testing.T) {
 	cfg.Instances = 2
 	cfg.Fault = &fault.Config{Seed: 3, Sched: sched}
 	cfg.Retries = 1
+	// Room for every attempt of both instances: with the default budget
+	// (one failure per instance), whichever instance fails last can be
+	// shed by the budget before its retry, depending on worker timing.
+	cfg.FailureBudget = cfg.Instances * (cfg.Retries + 1)
 
 	f, err := New(cfg)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -20,10 +21,11 @@ import (
 //	inst-00042/result.upc     merged-ready histogram once completed
 //	inst-00042/result.json    completion metadata (cycles, instructions)
 //
-// Results are written atomically (temp + rename, the checkpoint
-// directory's convention), and result.upc is authoritative: its presence
-// marks the instance completed, after which the checkpoint generations
-// are deleted to bound disk use. Classification on resume needs no lock
+// Results are written atomically with checkpoint.WriteFile (temp file,
+// fsync, rename; a stale temp file is pruned by the instance's next
+// checkpoint), and result.upc is authoritative: its presence marks the
+// instance completed, after which the checkpoint generations are
+// deleted to bound disk use. Classification on resume needs no lock
 // file — a crash between rename and generation cleanup just leaves
 // harmless stale generations behind.
 
@@ -44,29 +46,6 @@ type resultMeta struct {
 	Instructions uint64
 }
 
-// writeAtomic writes data as path via a temp file and rename, fsyncing
-// before the rename so a crash cannot leave a half-written file under
-// the final name.
-func writeAtomic(path string, write func(*os.File) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
 // persistResult records a completed instance's histogram and metadata in
 // its durable directory, then drops the now-redundant checkpoint
 // generations. A nil dir (memory-only farm) is a no-op.
@@ -77,8 +56,8 @@ func persistResult(dir string, res *workload.Result) error {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return err
 	}
-	if err := writeAtomic(filepath.Join(dir, "result.upc"), func(f *os.File) error {
-		return res.Hist.Save(f)
+	if err := checkpoint.WriteFile(filepath.Join(dir, "result.upc"), func(w io.Writer) error {
+		return res.Hist.Save(w)
 	}); err != nil {
 		return fmt.Errorf("farm: persisting histogram: %w", err)
 	}
@@ -88,8 +67,8 @@ func persistResult(dir string, res *workload.Result) error {
 		Cycles:       res.Cycles,
 		Instructions: res.Instructions,
 	}
-	if err := writeAtomic(filepath.Join(dir, "result.json"), func(f *os.File) error {
-		return json.NewEncoder(f).Encode(&meta)
+	if err := checkpoint.WriteFile(filepath.Join(dir, "result.json"), func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(&meta)
 	}); err != nil {
 		return fmt.Errorf("farm: persisting metadata: %w", err)
 	}
@@ -159,8 +138,8 @@ func writeManifest(root string, cfg Config) error {
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("farm: manifest: %w", err)
 	}
-	if err := writeAtomic(path, func(f *os.File) error {
-		enc := json.NewEncoder(f)
+	if err := checkpoint.WriteFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(&cfg)
 	}); err != nil {

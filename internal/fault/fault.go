@@ -83,10 +83,10 @@ type Stats struct {
 // use; like the Machine it instruments, one Plane belongs to one
 // simulation goroutine.
 type Plane struct {
-	sched    [NumPoints]Schedule //vaxlint:allow statecomplete -- rebuilt from checkpoint Meta.Fault by NewPlane
-	streams  [NumPoints]uint64   // per-point splitmix64 states
+	sched    [NumPoints]Schedule
+	streams  [NumPoints]uint64 // per-point splitmix64 states
 	stats    Stats
-	observer func(Point) //vaxlint:allow statecomplete -- attachment; re-attached after resume
+	observer func(Point) // injection callback (see SetObserver)
 }
 
 // NewPlane builds a plane from a config. A nil *Plane is valid everywhere

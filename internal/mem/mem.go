@@ -46,14 +46,14 @@ type Fault struct {
 type Memory struct {
 	data []byte
 
-	inject   func() bool //vaxlint:allow statecomplete -- attachment derived from the fault plane (RDS sampler, nil = never)
+	inject   func() bool // RDS fault sampler (nil = never)
 	fault    Fault
 	hasFault bool
 
 	// Page-table frame watch (see Watch). Derived state for translation
 	// memos, never checkpointed: ImportState starts a new generation.
-	watched []uint64 //vaxlint:allow statecomplete -- derived: frames translation memos read PTEs from; every invalidation clears it
-	mapGen  uint64   //vaxlint:allow statecomplete -- derived: memos compare it for equality only, so its value never needs to travel
+	watched []uint64
+	mapGen  uint64
 }
 
 // frameShift is log2 of the watch granularity: the 512-byte VAX page.

@@ -43,11 +43,11 @@ const TimeoutPenalty = 32
 // issue transactions through it, which is how I-stream misses delay
 // D-stream misses (and vice versa) in this model.
 type SBI struct {
-	cfg       SBIConfig //vaxlint:allow statecomplete -- travels as part of checkpoint Meta.Machine
+	cfg       SBIConfig
 	busyUntil uint64
 	stats     SBIStats
 
-	inject     func() bool //vaxlint:allow statecomplete -- attachment derived from the fault plane (timeout sampler, nil = never)
+	inject     func() bool // timeout fault sampler (nil = never)
 	faultCycle uint64
 	hasFault   bool
 }
@@ -134,8 +134,8 @@ func (s *SBI) BusyUntil() uint64 { return s.busyUntil }
 // A depth greater than one models the deeper buffers of later machines
 // (an ablation of §5's write-stall discussion).
 type WriteBuffer struct {
-	sbi    *SBI     //vaxlint:allow statecomplete -- wiring to the rebuilt SBI
-	depth  int      //vaxlint:allow statecomplete -- configuration; travels as part of checkpoint Meta.Machine
+	sbi    *SBI
+	depth  int
 	drains []uint64 // completion times of buffered writes, ascending
 	stats  WriteBufferStats
 }

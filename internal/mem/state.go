@@ -8,8 +8,9 @@ import "fmt"
 // restores a structure built with the same configuration. Fields wired at
 // construction or attachment time (size, timing config, injectors) are not
 // part of the state: the resume path reconstructs the structure first and
-// then imports into it. The completeness test in internal/checkpoint walks
-// the live structs field by field against these state structs.
+// then imports into it. The round-trip test in internal/checkpoint requires
+// every live field outside its exemption table to travel in these state
+// structs.
 
 // MemoryState is the serialized state of the physical memory array.
 type MemoryState struct {

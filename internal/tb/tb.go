@@ -60,9 +60,9 @@ type TB struct {
 	// halves[0] = process (P0/P1), halves[1] = system (S0).
 	halves [2][SetsPerHalf][Ways]entry
 	stats  Stats
-	tracer Tracer //vaxlint:allow statecomplete -- attachment; re-attached after resume
+	tracer Tracer
 
-	inject   func() bool //vaxlint:allow statecomplete -- attachment derived from the fault plane (parity sampler, nil = never)
+	inject   func() bool // parity fault sampler (nil = never)
 	faultVA  uint32
 	hasFault bool
 }

@@ -165,7 +165,7 @@ func DecodeSpecifier(b []byte, t DataType) (Specifier, int, error) {
 	default:
 		// Reached for a doubled index prefix (4x 4x): mode 4 after the
 		// first prefix has already been consumed.
-		//vaxlint:allow hotbox -- cold: reserved-operand decode error; the machine delivers a fault and the instruction aborts
+		//vaxlint:allow hotpath -- cold: reserved-operand decode error; the machine delivers a fault and the instruction aborts
 		return s, 0, fmt.Errorf("vax: unhandled specifier byte %#02x", mb)
 	}
 	if s.Indexed && !s.Mode.Indexable() {

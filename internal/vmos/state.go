@@ -14,7 +14,8 @@ import (
 // kernel image, the SCB — lives in (checkpointed) physical memory or is
 // rebuilt deterministically by the resume path, which reconstructs the
 // System from the same Config and process set before importing. The
-// completeness test in internal/checkpoint enforces the split.
+// round-trip test in internal/checkpoint enforces the split: every
+// System field outside its exemption table must travel.
 
 // State is the serialized post-boot scheduler and device state.
 type State struct {

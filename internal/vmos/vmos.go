@@ -73,13 +73,13 @@ type Process struct {
 
 // System is a booted machine plus its kernel.
 type System struct {
-	cfg  Config       //vaxlint:allow statecomplete -- the resume path rebuilds the system from the same Config
-	m    *cpu.Machine //vaxlint:allow statecomplete -- the machine travels separately as Snapshot.CPU
-	kern *asm.Image   //vaxlint:allow statecomplete -- kernel image is laid down deterministically by Boot; its bytes travel in memory
+	cfg  Config
+	m    *cpu.Machine
+	kern *asm.Image
 
-	procs     []*Process //vaxlint:allow statecomplete -- process set is regenerated deterministically from the profile
-	nullPCB   uint32     //vaxlint:allow statecomplete -- assigned deterministically by Boot
-	nextFrame uint32     //vaxlint:allow statecomplete -- frame allocator is deterministic given the same boot sequence
+	procs     []*Process
+	nullPCB   uint32
+	nextFrame uint32
 
 	nextClock  uint64
 	termEvents []uint64 // cycle numbers of terminal interrupts (sorted)
@@ -94,8 +94,8 @@ type System struct {
 	lastPCB   uint32
 	charged   []uint32
 	cpuTime   []uint64
-	cur       int    //vaxlint:allow statecomplete -- derived: index of lastPCB in charged, or -1 until the next charge looks it up
-	diskReq   uint32 //vaxlint:allow statecomplete -- derived by Boot: physical address of the kernel's diskreq counter
+	cur       int    // index of lastPCB in charged, or -1 until the next charge looks it up
+	diskReq   uint32 // physical address of the kernel's diskreq counter
 
 	booted bool
 }
