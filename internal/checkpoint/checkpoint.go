@@ -25,6 +25,11 @@
 // Any damage — truncation, padding, a flipped bit anywhere — fails the
 // length or checksum test and is reported as ErrCorrupt; the gob decoder
 // only ever sees checksum-verified bytes.
+//
+// The format version is 2. Version 2 stores physical memory as its
+// nonzero 512-byte frames (mem.MemoryState) instead of the whole array,
+// so a snapshot of a booted 8 MB machine is a few hundred KB. Decode
+// refuses version-1 snapshots with ErrBadVersion.
 package checkpoint
 
 import (
@@ -44,7 +49,7 @@ import (
 
 // FormatVersion is the current snapshot format version. Decode rejects
 // snapshots from other versions (no silent cross-version resume).
-const FormatVersion = 1
+const FormatVersion = 2
 
 var magic = [8]byte{'V', 'A', 'X', '7', '8', '0', 'C', 'P'}
 

@@ -94,9 +94,15 @@ var exempt = map[string]map[string]string{
 // value. Silent checkpoint incompleteness is how resumed runs drift.
 func TestSnapshotCompleteness(t *testing.T) {
 	seen := make(map[string]bool)
+	// One nonzero frame makes the exported frame list non-empty, so the
+	// perturbation moves a real frame, and an ImportState that does not
+	// clear the target lets the fresh machine's own frame survive.
 	mcfg := cpu.Config{MemBytes: 64 << 10}
-	roundTrip(t, seen, func() *cpu.Machine { return cpu.New(mcfg) },
-		(*cpu.Machine).ExportState, (*cpu.Machine).ImportState)
+	roundTrip(t, seen, func() *cpu.Machine {
+		m := cpu.New(mcfg)
+		m.Mem.WriteLong(0x200, 1)
+		return m
+	}, (*cpu.Machine).ExportState, (*cpu.Machine).ImportState)
 	roundTrip(t, seen, func() *vmos.System {
 		s := vmos.NewSystem(vmos.Config{IncludeNull: true})
 		if err := s.Boot(); err != nil {

@@ -250,6 +250,64 @@ chmk:	HALT
 	}
 }
 
+// TestIStreamFaultDuringDecode: an I-stream page fault taken while
+// decode waits for bytes aborts the instruction. Each program starts a
+// few bytes before an invalid page, so one of decode's waits services the
+// I-stream TB miss and faults. Decode must not go on to read the
+// handler's bytes as its own or spend the faulted instruction's remaining
+// cycles; the handler runs as its own instruction and the saved PC is the
+// faulting instruction's.
+func TestIStreamFaultDuringDecode(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		pc   uint32
+		src  string
+		idle string // a microword the faulted instruction must not reach ("" = none)
+	}{
+		{"opcode", 0x400, "NOP", ""},
+		{"specifier", 0x3FD, "MOVL #0x12345678, R0", "spec1.imm.extra"},
+		{"quadword immediate", 0x3FD, "MOVQ #0x1122334455667788, R0", "spec1.imm.extra"},
+		{"branch displacement", 0x3FE, "BRW l\nl: HALT", "exec.br.cond.taken"},
+		{"subroutine displacement", 0x3FE, "BSBW l\nl: HALT", "exec.br.bsb.taken"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fx := newVMFixture(t, "\tHALT\n", `
+tnv:	INCL	@#0x80009000
+	HALT
+`)
+			im, err := asm.Assemble(c.pc, c.src+"\n")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fx.m.Mem.Load(64*mmu.PageSize+c.pc, im.Bytes)
+			fx.m.Mem.WriteLong(0x10000+4*2, 0)                      // P0 page 2 invalid
+			fx.m.Mem.WriteLong(fxSCBPhys+SCBTransInval, fxKernCode) // tnv
+			fx.m.SetPC(c.pc)
+			res := fx.m.Run(100_000)
+			if res.Err != nil || !res.Halted {
+				t.Fatalf("run: halted=%v err=%v", res.Halted, res.Err)
+			}
+			if got := fx.m.Mem.ReadLong(fxCounter &^ 0x80000000); got != 1 {
+				t.Errorf("TransInval handler ran %d times, want 1", got)
+			}
+			// Kernel stack after delivery: faulting VA, saved PC, saved PSL.
+			sp := fx.m.R[vax.SP] &^ 0x80000000
+			if got := fx.m.Mem.ReadLong(sp + 4); got != c.pc {
+				t.Errorf("saved PC = %#x, want %#x", got, c.pc)
+			}
+			if got := fx.m.Mem.ReadLong(sp); got != 2*mmu.PageSize {
+				t.Errorf("faulting VA = %#x, want %#x", got, 2*mmu.PageSize)
+			}
+			if c.idle == "" {
+				return
+			}
+			if n := fx.probe.counts[CS.MustLookup(c.idle)]; n != 0 {
+				t.Errorf("%s counted %d times after the fault", c.idle, n)
+			}
+		})
+	}
+}
+
 func TestArithmeticOverflowTrap(t *testing.T) {
 	// With the PSW IV bit set, integer overflow traps through the SCB.
 	im, err := asm.Assemble(0x1000, `

@@ -313,16 +313,20 @@ func (m *Machine) tbMissService(va uint32, st tb.Stream) {
 // that needs n bytes; waiting for bytes burns cycles at the dedicated
 // IB-stall location stallW.
 
-// ibWait blocks until the IB holds n bytes, servicing I-stream TB misses.
-func (m *Machine) ibWait(n int, stallW uint16) {
+// ibWait blocks until the IB holds n bytes, servicing I-stream TB misses,
+// and reports whether it got them. It reports false as soon as the
+// instruction is aborted: a miss that ends in a fault has redirected the
+// IB to the handler, whose bytes are not this instruction's, so the
+// caller must consume nothing and spend no further cycles.
+func (m *Machine) ibWait(n int, stallW uint16) bool {
 	const guard = 1 << 20
 	for i := 0; ; i++ {
-		if m.halted || m.runErr != nil {
-			return
+		if m.aborted() {
+			return false
 		}
 		m.ib.advance(m.cycle)
 		if m.ib.valid >= n {
-			return
+			return true
 		}
 		if m.ib.tbMissPending {
 			m.tbMissService(m.ib.tbMissVA, tb.IStream)
@@ -331,30 +335,18 @@ func (m *Machine) ibWait(n int, stallW uint16) {
 		m.ibStallTick(stallW)
 		if i > guard {
 			m.fail("IB wait for %d bytes did not complete at pc %#x", n, m.ib.ptr)
-			return
+			return false
 		}
 	}
 }
 
-// take consumes n I-stream bytes with a one-cycle dispatch at w. The
-// result aliases the IB scratch buffer (see ibox.peek).
-func (m *Machine) take(w, stallW uint16, n int) []byte {
-	m.ibWait(n, stallW)
-	if m.runErr != nil {
-		return m.ib.zeroed(n)
-	}
-	b := m.ib.consume(n)
-	m.tick(w)
-	return b
-}
-
 // takeExtra consumes n further bytes that arrive with the same dispatch
 // (no additional cycle, but the wait can still IB-stall). The result
-// aliases the IB scratch buffer (see ibox.peek).
+// aliases the IB scratch buffer (see ibox.peek); it is nil if the
+// instruction aborted while waiting.
 func (m *Machine) takeExtra(stallW uint16, n int) []byte {
-	m.ibWait(n, stallW)
-	if m.runErr != nil {
-		return m.ib.zeroed(n)
+	if !m.ibWait(n, stallW) {
+		return nil
 	}
 	return m.ib.consume(n)
 }

@@ -72,8 +72,7 @@ func (m *Machine) StepInstruction() {
 	// DecodeOverlap ablation models the 11/750's folding of this cycle
 	// into the previous instruction when that instruction did not change
 	// the PC (§5).
-	m.ibWait(1, uw.irdStall)
-	if m.runErr != nil {
+	if !m.ibWait(1, uw.irdStall) {
 		return
 	}
 	opc := m.ib.consume(1)[0]
@@ -92,10 +91,6 @@ func (m *Machine) StepInstruction() {
 	m.instr = info
 	m.nops = len(info.Specs)
 	m.lastPCChange = false
-	// An I-stream exception during the IRD fetch redirected the IB; the
-	// opcode consumed above is the handler's first instruction, which must
-	// run normally.
-	m.instAborted = false
 
 	for i, os := range info.Specs {
 		m.runSpecifier(i, os)
@@ -151,12 +146,12 @@ func (m *Machine) dispSize() int {
 }
 
 // takeDisp consumes the branch displacement with the one-cycle B-DISP
-// target calculation and returns the branch target.
-func (m *Machine) takeDisp() uint32 {
+// target calculation and returns the branch target. It reports false,
+// having consumed nothing, if the instruction aborted while waiting.
+func (m *Machine) takeDisp() (uint32, bool) {
 	n := m.dispSize()
-	m.ibWait(n, uw.bdispStall)
-	if m.runErr != nil {
-		return m.ib.cur()
+	if !m.ibWait(n, uw.bdispStall) {
+		return 0, false
 	}
 	b := m.ib.consume(n)
 	var disp int32
@@ -167,15 +162,16 @@ func (m *Machine) takeDisp() uint32 {
 	}
 	target := m.ib.cur() + uint32(disp)
 	m.tick(uw.bdisp)
-	return target
+	return target, true
 }
 
 // branchTake consumes the displacement, spends the execute-phase redirect
 // cycle at takenWord, and redirects the IB (§5: "an additional cycle is
 // consumed in the execute phase to redirect the IB").
 func (m *Machine) branchTake(takenWord uint16) {
-	target := m.takeDisp()
-	m.redirect(takenWord, target)
+	if target, ok := m.takeDisp(); ok {
+		m.redirect(takenWord, target)
+	}
 }
 
 // branchSkip passes over the displacement of an untaken branch; the

@@ -320,7 +320,10 @@ func init() {
 	// --- Subroutine call and return ------------------------------------------
 	bsb := func(m *Machine) {
 		m.tick(uw.brBSBEntry)
-		target := m.takeDisp()
+		target, ok := m.takeDisp()
+		if !ok {
+			return
+		}
 		m.push32(uw.brBSBPush, m.ib.cur())
 		m.redirect(uw.brBSBTaken, target)
 	}

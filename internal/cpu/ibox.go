@@ -39,7 +39,7 @@ type ibox struct {
 
 	// scratch backs peek/consume. The decode hardware reads the IB
 	// combinationally, so the bytes handed out are valid only until the
-	// next peek/consume/zeroed call; callers fold them into values before
+	// next peek or consume call; callers fold them into values before
 	// touching the IB again (wideImmediate is the two-helping case).
 	// Reusing one array keeps the per-cycle decode path allocation-free.
 	scratch [ibSize]byte
@@ -148,17 +148,6 @@ func (ib *ibox) translate(va uint32) (uint32, bool) {
 func (ib *ibox) peek(n int) []byte {
 	out := ib.scratch[:n]
 	ib.m.readBytes(ib.ptr, out)
-	return out
-}
-
-// zeroed returns n zero bytes from the scratch buffer: what an aborted
-// take hands back so partial readers see deterministic zeros, without
-// allocating on the failure path.
-func (ib *ibox) zeroed(n int) []byte {
-	out := ib.scratch[:n]
-	for i := range out {
-		out[i] = 0
-	}
 	return out
 }
 

@@ -36,16 +36,14 @@ func (m *Machine) runSpecifier(i int, os vax.OperandSpec) {
 	// Determine the specifier's I-stream length by peeking at the mode
 	// byte(s); the decode hardware needs the bytes present, so waiting
 	// here is IB stall charged to this bank's stall location.
-	m.ibWait(1, bank.stall)
-	if m.runErr != nil {
+	if !m.ibWait(1, bank.stall) {
 		return
 	}
 	prefix := 0
 	b0 := m.ib.peek(1)[0]
 	if b0>>4 == 4 { // index prefix
 		prefix = 1
-		m.ibWait(2, bank.stall)
-		if m.runErr != nil {
+		if !m.ibWait(2, bank.stall) {
 			return
 		}
 		b0 = m.ib.peek(2)[1]
@@ -57,8 +55,7 @@ func (m *Machine) runSpecifier(i int, os vax.OperandSpec) {
 		m.wideImmediate(bank, op, os)
 		return
 	}
-	m.ibWait(total, bank.stall)
-	if m.runErr != nil {
+	if !m.ibWait(total, bank.stall) {
 		return
 	}
 	spec, n, err := vax.DecodeSpecifier(m.ib.peek(total), os.Type)
@@ -156,13 +153,16 @@ func (m *Machine) wideImmediate(bank *specBank, op *operand, os vax.OperandSpec)
 	// takeExtra hands out the IB's scratch buffer, so the second helping
 	// overwrites the first.
 	lo := m.takeExtra(bank.stall, 4)
+	if lo == nil {
+		return
+	}
 	var v uint64
 	for i := 0; i < 4; i++ {
 		v |= uint64(lo[i]) << (8 * i)
 	}
 	m.tick(bank.immExtra)
 	hi := m.takeExtra(bank.stall, 4)
-	if m.runErr != nil {
+	if hi == nil {
 		return
 	}
 	for i := 0; i < 4; i++ {

@@ -56,12 +56,16 @@ type Memory struct {
 	mapGen  uint64
 }
 
-// frameShift is log2 of the watch granularity: the 512-byte VAX page.
-const frameShift = 9
+// A frame is the 512-byte VAX page: the granularity of the page-table
+// watch and of snapshots (MemoryState).
+const (
+	frameShift = 9
+	frameSize  = 1 << frameShift
+)
 
 // New returns a physical memory of the given size in bytes.
 func New(size uint32) *Memory {
-	frames := (uint64(size) + 1<<frameShift - 1) >> frameShift
+	frames := (uint64(size) + frameSize - 1) >> frameShift
 	return &Memory{data: make([]byte, size), watched: make([]uint64, (frames+63)/64)}
 }
 

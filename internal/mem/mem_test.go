@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -110,6 +112,50 @@ func TestWatchedFrameWrites(t *testing.T) {
 		}
 		if m.Watched(frame) == c.bumps {
 			t.Errorf("%s: frame still watched = %v", c.name, m.Watched(frame))
+		}
+	}
+}
+
+// TestMemoryStateImport: a state round-trips into a memory that held
+// other bytes, including a last frame the array only partly covers, and
+// ImportState refuses a malformed state before the array, the fault latch
+// or the map generation changes.
+func TestMemoryStateImport(t *testing.T) {
+	const size = 4*frameSize - 24 // frame 3 is partial
+	src := New(size)
+	src.SetByte(0x205, 7)
+	src.SetByte(size-1, 9)
+	st := src.ExportState()
+	if want := []uint32{1, 3}; !reflect.DeepEqual(st.Frames, want) || len(st.Data) != 2*frameSize {
+		t.Fatalf("exported frames %v with %d bytes, want %v with %d", st.Frames, len(st.Data), want, 2*frameSize)
+	}
+	m := New(size)
+	m.SetByte(0x10, 5)
+	if err := m.ImportState(st); err != nil {
+		t.Fatalf("ImportState: %v", err)
+	}
+	if !bytes.Equal(m.data, src.data) {
+		t.Fatal("imported memory differs from the exported one")
+	}
+
+	frame := func(b byte) []byte { return bytes.Repeat([]byte{b}, frameSize) }
+	for _, c := range []struct {
+		name string
+		st   MemoryState
+	}{
+		{"wrong data length", MemoryState{Frames: []uint32{1}, Data: frame(1)[1:]}},
+		{"duplicate frame", MemoryState{Frames: []uint32{1, 1}, Data: append(frame(1), frame(2)...)}},
+		{"descending frames", MemoryState{Frames: []uint32{2, 1}, Data: append(frame(1), frame(2)...)}},
+		{"frame past the array", MemoryState{Frames: []uint32{0, 4}, Data: append(frame(1), frame(2)...)}},
+	} {
+		before := append([]byte(nil), m.data...)
+		gen := m.MapGen()
+		c.st.HasFault = true
+		if err := m.ImportState(c.st); err == nil {
+			t.Errorf("%s: ImportState accepted it", c.name)
+		}
+		if !bytes.Equal(m.data, before) || m.MapGen() != gen || m.hasFault {
+			t.Errorf("%s: a refused import changed the memory", c.name)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // Serialized state of the memory subsystem, for the checkpoint/resume
 // path (internal/checkpoint). Export copies everything it captures so the
@@ -12,30 +15,59 @@ import "fmt"
 // every live field outside its exemption table to travel in these state
 // structs.
 
-// MemoryState is the serialized state of the physical memory array.
+// MemoryState is the serialized state of the physical memory array. Only
+// the frames (512-byte pages) that hold a nonzero byte travel: Frames
+// lists their numbers in strictly ascending order, and Data holds their
+// contents, 512 bytes per listed frame in the same order. Every frame not
+// listed is zero. A last frame the array only partly covers is padded
+// with zeros.
 type MemoryState struct {
+	Frames   []uint32
 	Data     []byte
 	Fault    Fault
 	HasFault bool
 }
 
-// ExportState captures the memory array and its error latch.
+// zeroFrame is what every frame a MemoryState does not list holds.
+var zeroFrame [frameSize]byte
+
+// ExportState captures the nonzero frames of the memory array and its
+// error latch.
 func (m *Memory) ExportState() MemoryState {
-	st := MemoryState{
-		Data:     make([]byte, len(m.data)),
-		Fault:    m.fault,
-		HasFault: m.hasFault,
+	st := MemoryState{Fault: m.fault, HasFault: m.hasFault}
+	for lo := 0; lo < len(m.data); lo += frameSize {
+		f := m.data[lo:min(lo+frameSize, len(m.data))]
+		if bytes.Equal(f, zeroFrame[:len(f)]) {
+			continue
+		}
+		st.Frames = append(st.Frames, uint32(lo>>frameShift))
+		st.Data = append(append(st.Data, f...), zeroFrame[len(f):]...)
 	}
-	copy(st.Data, m.data)
 	return st
 }
 
 // ImportState restores a state captured from a memory of the same size.
+// It validates the whole state before touching the array, then zeroes the
+// array and copies the listed frames in, so nothing the memory held
+// before survives.
 func (m *Memory) ImportState(st MemoryState) error {
-	if len(st.Data) != len(m.data) {
-		return fmt.Errorf("mem: snapshot holds %d bytes, memory has %d", len(st.Data), len(m.data))
+	if len(st.Data) != len(st.Frames)*frameSize {
+		return fmt.Errorf("mem: snapshot holds %d bytes for %d frames of %d",
+			len(st.Data), len(st.Frames), frameSize)
 	}
-	copy(m.data, st.Data)
+	frames := (uint64(len(m.data)) + frameSize - 1) >> frameShift
+	for i, f := range st.Frames {
+		if uint64(f) >= frames {
+			return fmt.Errorf("mem: snapshot frame %d is outside a memory of %d frames", f, frames)
+		}
+		if i > 0 && f <= st.Frames[i-1] {
+			return fmt.Errorf("mem: snapshot frames not strictly ascending: %d follows %d", f, st.Frames[i-1])
+		}
+	}
+	clear(m.data)
+	for i, f := range st.Frames {
+		copy(m.data[int(f)<<frameShift:], st.Data[i*frameSize:(i+1)*frameSize])
+	}
 	m.fault = st.Fault
 	m.hasFault = st.HasFault
 	m.invalidate()

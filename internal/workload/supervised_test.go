@@ -153,6 +153,38 @@ func resumeIdentical(t *testing.T, p Profile, cycles uint64, fcfg *fault.Config)
 	return base
 }
 
+// TestSnapshotSize: memory travels as its nonzero frames, so every
+// profile's snapshot at 1M cycles encodes to under 1 MB, not the 8 MB of
+// its memory array.
+func TestSnapshotSize(t *testing.T) {
+	const cycles, limit = 1_000_000, 1_000_000
+	for _, p := range All() {
+		p := p
+		t.Run(p.Name, func(t *testing.T) {
+			t.Parallel()
+			s, err := build(p, cycles, cpu.Config{}, nil)
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			if res := s.sys.Run(cycles); res.Err != nil || res.Halted {
+				t.Fatalf("run: halted=%v err=%v", res.Halted, res.Err)
+			}
+			snap, err := s.snapshot(nil)
+			if err != nil {
+				t.Fatalf("snapshot: %v", err)
+			}
+			var buf bytes.Buffer
+			if err := checkpoint.Encode(&buf, snap); err != nil {
+				t.Fatalf("Encode: %v", err)
+			}
+			if buf.Len() >= limit {
+				t.Errorf("snapshot at cycle %d encodes to %d bytes with %d memory frames, want under %d",
+					cycles, buf.Len(), len(snap.CPU.Mem.Frames), limit)
+			}
+		})
+	}
+}
+
 // TestCrashConsistencyKillAndResume simulates the crash the format is
 // designed for: the process dies mid-write, leaving the newest generation
 // truncated. The resume must reject it with the typed corruption error
