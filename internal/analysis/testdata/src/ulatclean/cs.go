@@ -1,8 +1,9 @@
 // Package ulatclean is the clean negative for the ulat analyzer: every
 // registered opcode's bounds derive exactly — straight-line, branching,
-// data-dependent loop, factory-built handler, and a shared-row
-// specifier word — so the derivation must stay silent and the table it
-// returns is pinned by TestULatTable.
+// data-dependent loop, factory-built handler, a shared-row specifier
+// word, and the pruned abort outcome of a displacement helper — so the
+// derivation must stay silent and the table it returns is pinned by
+// TestULatTable.
 package ulatclean
 
 import "uwucode"

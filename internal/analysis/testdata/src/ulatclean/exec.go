@@ -2,7 +2,7 @@ package ulatclean
 
 type execFn func(*Machine)
 
-var execTable [8]execFn
+var execTable [16]execFn
 
 func register(op Op, fn execFn) { execTable[op] = fn }
 
@@ -11,6 +11,9 @@ func init() {
 	register(DBLX, execDbl)
 	register(LOOPX, execLoop)
 	register(FACTX, makeTicker(3))
+	register(BSBX, execBsb)
+	register(BRX, execBr)
+	register(PEEKX, execPeek)
 	for _, op := range []Op{PAIRX, QUADX} {
 		register(op, execAdd)
 	}
@@ -52,4 +55,51 @@ func makeTicker(k int) execFn {
 	return func(m *Machine) {
 		m.ticks(uw.op, uint64(k))
 	}
+}
+
+// takeDisp stands in for the displacement helper: false means an
+// I-stream fault aborted the instruction while it waited.
+func (m *Machine) takeDisp() (uint32, bool) {
+	if m.r0 < 0 {
+		return 0, false
+	}
+	return uint32(m.r0), true
+}
+
+// peek has takeDisp's shape but is not an abort reporter.
+func (m *Machine) peek() (uint32, bool) {
+	return uint32(m.r0), m.r0 > 0
+}
+
+// execBsb returns early when takeDisp reports an abort; that exit is
+// pruned, so both compute cycles are the minimum.
+func execBsb(m *Machine) {
+	m.tick(uw.op)
+	t, ok := m.takeDisp()
+	if !ok {
+		return
+	}
+	m.r0 = int(t)
+	m.tick(uw.op)
+}
+
+// execBr skips its cycle when takeDisp reports an abort; the skipping
+// edge is pruned.
+func execBr(m *Machine) {
+	if t, ok := m.takeDisp(); ok {
+		m.r0 = int(t)
+		m.tick(uw.op)
+	}
+}
+
+// execPeek has execBsb's shape around a helper that is not an abort
+// reporter, so its early return is an ordinary path.
+func execPeek(m *Machine) {
+	m.tick(uw.op)
+	t, ok := m.peek()
+	if !ok {
+		return
+	}
+	m.r0 = int(t)
+	m.tick(uw.op)
 }

@@ -12,6 +12,9 @@ const (
 	FACTX
 	PAIRX
 	QUADX
+	BSBX
+	BRX
+	PEEKX
 )
 
 type OpInfo struct {
@@ -27,4 +30,7 @@ var opTable = []OpInfo{
 	{FACTX, "FACTX", GroupSimple},
 	{PAIRX, "PAIRX", GroupSimple},
 	{QUADX, "QUADX", GroupSimple},
+	{BSBX, "BSBX", GroupSimple},
+	{BRX, "BRX", GroupSimple},
+	{PEEKX, "PEEKX", GroupSimple},
 }

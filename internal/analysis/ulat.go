@@ -73,6 +73,83 @@ var ulatPrunedRows = map[string]bool{
 	"RowAbort":     true,
 }
 
+// ulatAbortReporters are the helpers whose boolean result says whether
+// the instruction is still running: takeDisp answers false when an
+// I-stream fault taken while it waited for the displacement redirected
+// the IB to the exception handler. It is the one such answer an execute
+// routine branches on (BSB's early return, branchTake's skipped
+// redirect). The harness takes no faults, so the abort outcome is pruned
+// like the service rows: an aborted instruction's partial cost must not
+// lower the opcode's minimum.
+var ulatAbortReporters = map[string]bool{"takeDisp": true}
+
+// abortEdges returns the CFG edges, as (from, to) block indices, that
+// body takes only after an abort reporter answered false: the then-edge
+// of `if !ok` and the else-edge of `if ok`, where ok is the reporter's
+// last result.
+func abortEdges(pkg *Package, body *ast.BlockStmt, cfg *CFG) map[[2]int]bool {
+	info := pkg.Info
+	oks := make(map[types.Object]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.AssignStmt:
+			if len(n.Rhs) != 1 {
+				return true
+			}
+			call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if fn := Callee(info, call); fn != nil && ulatAbortReporters[fn.Name()] {
+				if id, ok := n.Lhs[len(n.Lhs)-1].(*ast.Ident); ok && info.ObjectOf(id) != nil {
+					oks[info.ObjectOf(id)] = true
+				}
+			}
+		}
+		return true
+	})
+	if len(oks) == 0 {
+		return nil
+	}
+	abortWhen := make(map[ast.Expr]bool) // if condition → the outcome that means abort
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.IfStmt:
+			c, abortOn := ast.Unparen(n.Cond), false
+			if u, ok := c.(*ast.UnaryExpr); ok && u.Op == token.NOT {
+				c, abortOn = ast.Unparen(u.X), true
+			}
+			if id, ok := c.(*ast.Ident); ok && oks[info.ObjectOf(id)] {
+				abortWhen[n.Cond] = abortOn
+			}
+		}
+		return true
+	})
+	edges := make(map[[2]int]bool)
+	for _, blk := range cfg.Blocks {
+		if len(blk.Stmts) == 0 || len(blk.Succs) != 2 {
+			continue
+		}
+		es, ok := blk.Stmts[len(blk.Stmts)-1].(*ast.ExprStmt)
+		if !ok {
+			continue
+		}
+		if abortOn, ok := abortWhen[es.X]; ok {
+			// BuildCFG orders an if's successors then, else-or-after.
+			to := blk.Succs[1]
+			if abortOn {
+				to = blk.Succs[0]
+			}
+			edges[[2]int{blk.Index, to.Index}] = true
+		}
+	}
+	return edges
+}
+
 // ulatSharedRows may appear in any opcode's word set regardless of its
 // Table 8 row: register result stores and memory write-backs are
 // specifier-row cycles by the paper's accounting, and taken branches
@@ -481,14 +558,16 @@ func (w *latWalker) walk(r *resolvedFn) *latCost {
 		}
 	}
 
-	// Reachability from the entry block, over components.
+	// Reachability from the entry block, over components, leaving out
+	// the edges only an aborted instruction takes.
+	abort := abortEdges(flow.pkg, r.scopes[0], flow.cfg)
 	preds := make([]map[int]bool, ncomp)
 	for i := range preds {
 		preds[i] = make(map[int]bool)
 	}
 	for _, blk := range flow.cfg.Blocks {
 		for _, s := range blk.Succs {
-			if comp[blk.Index] != comp[s.Index] {
+			if comp[blk.Index] != comp[s.Index] && !abort[[2]int{blk.Index, s.Index}] {
 				preds[comp[s.Index]][comp[blk.Index]] = true
 			}
 		}

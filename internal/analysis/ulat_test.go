@@ -24,8 +24,9 @@ func TestULatClean(t *testing.T) {
 
 // TestULatTable pins the derived numbers on the clean fixture: exact
 // straight-line bounds, a branch widening only the max, a
-// data-dependent loop surfacing as a loop term rather than a bound, and
-// a factory constant folding to an exact count.
+// data-dependent loop surfacing as a loop term rather than a bound, a
+// factory constant folding to an exact count, and the abort outcome of
+// takeDisp pruned while the same shape around another helper is not.
 func TestULatTable(t *testing.T) {
 	pkgs, err := analysis.LoadTestdataPackages("testdata/src", "ulatclean")
 	if err != nil {
@@ -43,7 +44,7 @@ func TestULatTable(t *testing.T) {
 	for i := range tab.Opcodes {
 		ops[tab.Opcodes[i].Name] = &tab.Opcodes[i]
 	}
-	for _, name := range []string{"ADDX", "DBLX", "LOOPX", "FACTX", "PAIRX", "QUADX"} {
+	for _, name := range []string{"ADDX", "DBLX", "LOOPX", "FACTX", "PAIRX", "QUADX", "BSBX", "BRX", "PEEKX"} {
 		if ops[name] == nil {
 			t.Fatalf("derived table misses %s; have %d opcodes", name, len(tab.Opcodes))
 		}
@@ -65,6 +66,9 @@ func TestULatTable(t *testing.T) {
 	wantBound("ADDX", "ClassDispatch", 1, 1) // the shared-row SPEC1 word
 	wantBound("DBLX", "ClassCompute", 1, 2)
 	wantBound("FACTX", "ClassCompute", 3, 3)
+	wantBound("BSBX", "ClassCompute", 2, 2)
+	wantBound("BRX", "ClassCompute", 1, 1)
+	wantBound("PEEKX", "ClassCompute", 1, 2)
 
 	// The registrations sharing one handler share its bounds.
 	wantBound("PAIRX", "ClassCompute", 1, 1)

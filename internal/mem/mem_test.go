@@ -143,10 +143,11 @@ func TestMemoryStateImport(t *testing.T) {
 		name string
 		st   MemoryState
 	}{
-		{"wrong data length", MemoryState{Frames: []uint32{1}, Data: frame(1)[1:]}},
-		{"duplicate frame", MemoryState{Frames: []uint32{1, 1}, Data: append(frame(1), frame(2)...)}},
-		{"descending frames", MemoryState{Frames: []uint32{2, 1}, Data: append(frame(1), frame(2)...)}},
-		{"frame past the array", MemoryState{Frames: []uint32{0, 4}, Data: append(frame(1), frame(2)...)}},
+		{"wrong size", MemoryState{Size: size - frameSize, Frames: []uint32{1}, Data: frame(1)}},
+		{"wrong data length", MemoryState{Size: size, Frames: []uint32{1}, Data: frame(1)[1:]}},
+		{"duplicate frame", MemoryState{Size: size, Frames: []uint32{1, 1}, Data: append(frame(1), frame(2)...)}},
+		{"descending frames", MemoryState{Size: size, Frames: []uint32{2, 1}, Data: append(frame(1), frame(2)...)}},
+		{"frame past the array", MemoryState{Size: size, Frames: []uint32{0, 4}, Data: append(frame(1), frame(2)...)}},
 	} {
 		before := append([]byte(nil), m.data...)
 		gen := m.MapGen()

@@ -11,17 +11,20 @@ import (
 // restores a structure built with the same configuration. Fields wired at
 // construction or attachment time (size, timing config, injectors) are not
 // part of the state: the resume path reconstructs the structure first and
-// then imports into it. The round-trip test in internal/checkpoint requires
-// every live field outside its exemption table to travel in these state
-// structs.
+// then imports into it; MemoryState carries the memory size only so that
+// ImportState can refuse a state from a memory of another size. The
+// round-trip test in internal/checkpoint requires every live field
+// outside its exemption table to travel in these state structs.
 
 // MemoryState is the serialized state of the physical memory array. Only
 // the frames (512-byte pages) that hold a nonzero byte travel: Frames
 // lists their numbers in strictly ascending order, and Data holds their
 // contents, 512 bytes per listed frame in the same order. Every frame not
 // listed is zero. A last frame the array only partly covers is padded
-// with zeros.
+// with zeros. Size is the length of the array the state was captured
+// from.
 type MemoryState struct {
+	Size     uint32
 	Frames   []uint32
 	Data     []byte
 	Fault    Fault
@@ -34,7 +37,7 @@ var zeroFrame [frameSize]byte
 // ExportState captures the nonzero frames of the memory array and its
 // error latch.
 func (m *Memory) ExportState() MemoryState {
-	st := MemoryState{Fault: m.fault, HasFault: m.hasFault}
+	st := MemoryState{Size: uint32(len(m.data)), Fault: m.fault, HasFault: m.hasFault}
 	for lo := 0; lo < len(m.data); lo += frameSize {
 		f := m.data[lo:min(lo+frameSize, len(m.data))]
 		if bytes.Equal(f, zeroFrame[:len(f)]) {
@@ -47,10 +50,13 @@ func (m *Memory) ExportState() MemoryState {
 }
 
 // ImportState restores a state captured from a memory of the same size.
-// It validates the whole state before touching the array, then zeroes the
-// array and copies the listed frames in, so nothing the memory held
-// before survives.
+// It validates the whole state, size included, before touching the
+// array, then zeroes the array and copies the listed frames in, so
+// nothing the memory held before survives.
 func (m *Memory) ImportState(st MemoryState) error {
+	if st.Size != uint32(len(m.data)) {
+		return fmt.Errorf("mem: snapshot of a %d-byte memory, this one holds %d", st.Size, len(m.data))
+	}
 	if len(st.Data) != len(st.Frames)*frameSize {
 		return fmt.Errorf("mem: snapshot holds %d bytes for %d frames of %d",
 			len(st.Data), len(st.Frames), frameSize)
