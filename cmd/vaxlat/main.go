@@ -1,231 +1,52 @@
-// Command vaxlat emits the static per-opcode latency table — the
-// speedup regression oracle of DESIGN.md §16 — as committed
-// latency.json (machine-readable, byte-deterministic) and LATENCY.md
-// (the uops.info-style human rendering). The table is derived by the
-// ulat analyzer from the execute microroutines themselves; the dynamic
-// cross-check in internal/experiments must land inside its bounds, and
-// CI regenerates both files and fails on any drift against the
-// committed copies, so a change to any microroutine's cycle counting is
-// visible in review even when no test asserts the specific number.
+// Command vaxlat measures the per-opcode latency table — the cycle
+// attribution oracle of DESIGN.md §16 — and writes it as latency.json
+// (machine-readable, byte-deterministic) and LATENCY.md (the
+// uops.info-style rendering) at the module root. Every registered opcode
+// is single-stepped under each directed variant and every addressing mode
+// through a TSTL; `go test -run TestLatency ./internal/experiments`
+// fails when a fresh sweep differs from the committed files.
 //
 // Usage:
 //
-//	go run ./cmd/vaxlat           # rewrite LATENCY.md + latency.json at the module root
-//	go run ./cmd/vaxlat -check    # regenerate in memory and diff against the committed copies
+//	go run ./cmd/vaxlat    # rewrite LATENCY.md + latency.json at the module root
 //
-// Contract:
-//
-//   - exit 0: files written (or, with -check, both committed copies are
-//     byte-identical to the regeneration and the derivation is clean);
-//   - exit 1: -check found drift, or the derivation reported findings
-//     (an underivable opcode is not a valid oracle);
-//   - exit 2: the load or derivation itself failed.
+// Exit 0 when both files are written, 2 when the sweep or a write fails.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
-	"sort"
-	"strings"
 
-	"vax780/internal/analysis"
+	"vax780/internal/checkpoint"
 	"vax780/internal/cli"
-	"vax780/internal/latency"
+	"vax780/internal/experiments"
 )
 
 func main() {
-	check := flag.Bool("check", false, "diff the regenerated table against the committed files instead of writing")
 	flag.Parse()
-
-	root, err := latency.Root("")
+	root, err := experiments.Root()
 	if err != nil {
 		cli.Exitf(2, "vaxlat", "%v", err)
 	}
-	pkgs, err := analysis.LoadModule(root, []string{"./..."})
+	tab, err := experiments.MeasureLatencyTable()
 	if err != nil {
 		cli.Exitf(2, "vaxlat", "%v", err)
 	}
-	tab, diags, err := analysis.DeriveLatencyTable(pkgs)
+	js, err := tab.Marshal()
 	if err != nil {
 		cli.Exitf(2, "vaxlat", "%v", err)
 	}
-	if len(diags) > 0 {
-		for _, d := range diags {
-			fmt.Fprintln(os.Stderr, d)
+	for _, f := range []struct {
+		name string
+		data []byte
+	}{{experiments.LatencyFile, js}, {experiments.LatencyDoc, tab.Render()}} {
+		write := func(w io.Writer) error { _, err := w.Write(f.data); return err }
+		if err := checkpoint.WriteFile(filepath.Join(root, f.name), write); err != nil {
+			cli.Exitf(2, "vaxlat", "%v", err)
 		}
-		cli.Exitf(1, "vaxlat", "%d derivation findings; the table is not a valid oracle", len(diags))
-	}
-
-	jsonBytes, err := tab.Marshal()
-	if err != nil {
-		cli.Exitf(2, "vaxlat", "%v", err)
-	}
-	mdBytes := []byte(render(tab))
-
-	jsonPath := filepath.Join(root, latency.File)
-	mdPath := filepath.Join(root, latency.Doc)
-	if *check {
-		bad := false
-		for _, f := range []struct {
-			path string
-			want []byte
-		}{{jsonPath, jsonBytes}, {mdPath, mdBytes}} {
-			got, err := os.ReadFile(f.path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "vaxlat: %v\n", err)
-				bad = true
-				continue
-			}
-			if string(got) != string(f.want) {
-				fmt.Fprintf(os.Stderr, "vaxlat: %s drifted from the microroutines; regenerate with `go run ./cmd/vaxlat`\n", f.path)
-				bad = true
-			}
-		}
-		if bad {
-			os.Exit(1)
-		}
-		fmt.Printf("vaxlat: %d opcodes, %d modes — committed table matches the microroutines\n",
-			len(tab.Opcodes), len(tab.Modes))
-		return
-	}
-
-	if err := os.WriteFile(jsonPath, jsonBytes, 0o644); err != nil {
-		cli.Exitf(2, "vaxlat", "%v", err)
-	}
-	if err := os.WriteFile(mdPath, mdBytes, 0o644); err != nil {
-		cli.Exitf(2, "vaxlat", "%v", err)
 	}
 	fmt.Printf("vaxlat: wrote %s and %s (%d opcodes, %d modes)\n",
-		latency.File, latency.Doc, len(tab.Opcodes), len(tab.Modes))
-}
-
-// classOrder fixes the column order of the rendering: the execute-phase
-// classes in rough pipeline order, then anything the derivation ever
-// produces beyond them, alphabetically.
-var classOrder = []string{"ClassCompute", "ClassRead", "ClassWrite", "ClassDispatch"}
-
-func classColumns(tab *latency.Table) []string {
-	seen := make(map[string]bool)
-	for _, c := range classOrder {
-		seen[c] = true
-	}
-	var extra []string
-	note := func(m map[string]latency.Bound) {
-		for c := range m {
-			if !seen[c] {
-				seen[c] = true
-				extra = append(extra, c)
-			}
-		}
-	}
-	for _, op := range tab.Opcodes {
-		note(op.Classes)
-		for _, l := range op.Loops {
-			for c := range l.Classes {
-				if !seen[c] {
-					seen[c] = true
-					extra = append(extra, c)
-				}
-			}
-		}
-	}
-	for _, mo := range tab.Modes {
-		note(mo.Classes)
-	}
-	sort.Strings(extra)
-	return append(append([]string{}, classOrder...), extra...)
-}
-
-func bound(b latency.Bound) string {
-	if b.Min == b.Max {
-		return fmt.Sprintf("%d", b.Min)
-	}
-	return fmt.Sprintf("%d–%d", b.Min, b.Max)
-}
-
-func render(tab *latency.Table) string {
-	var sb strings.Builder
-	cols := classColumns(tab)
-	short := func(c string) string { return strings.TrimPrefix(c, "Class") }
-
-	sb.WriteString("# Per-opcode latency table\n\n")
-	sb.WriteString("Static execute-phase microcycle bounds per `ucode.Class`, derived from the\n")
-	sb.WriteString("microroutines by the ulat analyzer (DESIGN.md §16). `min–max` spans the\n")
-	sb.WriteString("paths through the routine; a loop term `+k×var` relaxes the upper bound of\n")
-	sb.WriteString("its classes by k cycles per iteration of the data-dependent loop scaled by\n")
-	sb.WriteString("`var`. Service rows (Mem Mgmt, Int+Except, Abort) and IB-stall/marker\n")
-	sb.WriteString("cycles are excluded on both sides of the oracle. ⚖ marks FPA-configuration\n")
-	sb.WriteString("scaled costs (bounds hold for the default FPA-present machine).\n")
-	sb.WriteString("\nRegenerate with `go run ./cmd/vaxlat`; CI fails on drift; the dynamic\n")
-	sb.WriteString("cross-check is `go test -run TestLatencyOracle ./internal/experiments`.\n\n")
-
-	sb.WriteString("## Opcodes\n\n")
-	sb.WriteString("| Opcode | Row |")
-	for _, c := range cols {
-		sb.WriteString(" " + short(c) + " |")
-	}
-	sb.WriteString(" Loop terms |\n")
-	sb.WriteString("|---|---|")
-	for range cols {
-		sb.WriteString("---|")
-	}
-	sb.WriteString("---|\n")
-	for _, op := range tab.Opcodes {
-		name := op.Name
-		if op.Scaled {
-			name += " ⚖"
-		}
-		row := strings.TrimPrefix(op.Row, "Row")
-		sb.WriteString(fmt.Sprintf("| %s | %s |", name, row))
-		for _, c := range cols {
-			if b, ok := op.Classes[c]; ok {
-				sb.WriteString(" " + bound(b) + " |")
-			} else {
-				sb.WriteString(" · |")
-			}
-		}
-		var terms []string
-		for _, l := range op.Loops {
-			cs := make([]string, 0, len(l.Classes))
-			for c := range l.Classes {
-				cs = append(cs, c)
-			}
-			sort.Strings(cs)
-			for _, c := range cs {
-				terms = append(terms, fmt.Sprintf("+%d×%s %s", l.Classes[c], l.Var, short(c)))
-			}
-		}
-		if len(terms) == 0 {
-			sb.WriteString(" |\n")
-		} else {
-			sb.WriteString(" " + strings.Join(terms, ", ") + " |\n")
-		}
-	}
-
-	if len(tab.Modes) > 0 {
-		sb.WriteString("\n## Addressing modes (read access, longword operand)\n\n")
-		sb.WriteString("| Mode |")
-		for _, c := range cols {
-			sb.WriteString(" " + short(c) + " |")
-		}
-		sb.WriteString("\n|---|")
-		for range cols {
-			sb.WriteString("---|")
-		}
-		sb.WriteString("\n")
-		for _, mo := range tab.Modes {
-			sb.WriteString(fmt.Sprintf("| %s |", strings.TrimPrefix(mo.Mode, "Mode")))
-			for _, c := range cols {
-				if b, ok := mo.Classes[c]; ok {
-					sb.WriteString(" " + bound(b) + " |")
-				} else {
-					sb.WriteString(" · |")
-				}
-			}
-			sb.WriteString("\n")
-		}
-	}
-	return sb.String()
+		experiments.LatencyFile, experiments.LatencyDoc, len(tab.Opcodes), len(tab.Modes))
 }

@@ -13,10 +13,7 @@
 // one closing owner with no send reachable after the close (chanprot),
 // every blocking op in context-carrying code cancellation-guarded
 // (ctxflow), and worker-owned state untouched outside its goroutine
-// until the merge barrier (onewriter) — and the latency-oracle
-// derivation (ulat): static per-opcode microcycle bounds from every
-// registered microroutine, the table committed as latency.json and
-// cross-checked dynamically (DESIGN.md §16). It is a multichecker-style
+// until the merge barrier (onewriter). It is a multichecker-style
 // driver for the analyzers in internal/analysis and is part of the
 // tier-1 verify (Makefile `check`); the suite runs with one goroutine
 // per analyzer, findings merged into one deterministic position order.

@@ -213,10 +213,8 @@ func runOne(a *Analyzer, pkgs []*Package, sharedFset *token.FileSet, allows allo
 // analyzers built on the CFG + dataflow layer (cfg.go, dataflow.go,
 // uwmodel.go), the hot-path perf-contract analyzer built on the
 // callgraph's function-value and interface approximations (hotset.go),
-// the four concflow concurrency-contract analyzers built on the
-// goroutine/channel model (concmodel.go), and the ulat latency-oracle
-// derivation (ulat.go) that pins every microroutine's static cycle
-// bounds.
+// and the four concflow concurrency-contract analyzers built on the
+// goroutine/channel model (concmodel.go).
 func All() []*Analyzer {
 	return []*Analyzer{
 		ExecTable, PaperConst, ProbeSafe,
@@ -224,7 +222,6 @@ func All() []*Analyzer {
 		UWFlow, UWDead, RowScope,
 		HotPath,
 		GoLeak, ChanProt, CtxFlow, OneWriter,
-		ULat,
 	}
 }
 

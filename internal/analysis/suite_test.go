@@ -94,8 +94,8 @@ func TestConcClean(t *testing.T) {
 // TestSuiteSize pins the suite's advertised size: growing it without
 // updating the docs (README, Makefile) should fail loudly here.
 func TestSuiteSize(t *testing.T) {
-	if got := len(analysis.All()); got != 15 {
-		t.Fatalf("analysis.All() reports %d analyzers, want 15", got)
+	if got := len(analysis.All()); got != 14 {
+		t.Fatalf("analysis.All() reports %d analyzers, want 14", got)
 	}
 }
 

@@ -246,6 +246,9 @@ func TestWriteFile(t *testing.T) {
 	if data, err := os.ReadFile(path); err != nil || string(data) != "whole" {
 		t.Fatalf("target holds %q (%v), want %q", data, err, "whole")
 	}
+	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o644 {
+		t.Fatalf("target mode %v (%v), want 0644", fi.Mode(), err)
+	}
 	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
 		t.Fatalf("successful write left %v, want only the target", ents)
 	}

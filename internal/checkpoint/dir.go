@@ -84,7 +84,12 @@ func WriteFile(path string, write func(io.Writer) error) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	err = tmp.Sync()
+	// CreateTemp makes the file 0600; give it the mode os.WriteFile(path,
+	// data, 0o644) would, since ledgers and tables are written here too.
+	err = tmp.Chmod(0o644)
+	if err == nil {
+		err = tmp.Sync()
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}

@@ -161,7 +161,7 @@ func TestReduceWithinGroupIdentity(t *testing.T) {
 	// Table 9 identity: within-group cycles x frequency = Table 8 row.
 	for _, g := range []vax.Group{vax.GroupSimple, vax.GroupCallRet, vax.GroupCharacter} {
 		wg := r.WithinGroup(g).Total() * r.GroupFreq(g)
-		er, ok := execRowOf(g)
+		er, ok := ExecRowOf(g)
 		if !ok {
 			t.Fatalf("%v has no execute row", g)
 		}

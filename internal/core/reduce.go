@@ -279,7 +279,7 @@ func (r *Report) WithinGroup(g vax.Group) ColumnSet {
 	if r.Groups[g] == 0 {
 		return ColumnSet{}
 	}
-	er, ok := execRowOf(g)
+	er, ok := ExecRowOf(g)
 	if !ok {
 		return ColumnSet{}
 	}
@@ -287,9 +287,9 @@ func (r *Report) WithinGroup(g vax.Group) ColumnSet {
 	return row.scale(float64(r.Instructions) / float64(r.Groups[g]))
 }
 
-// execRowOf maps an opcode group to its Table 8 execute row. The second
+// ExecRowOf maps an opcode group to its Table 8 execute row. The second
 // result is false for values that are not opcode groups.
-func execRowOf(g vax.Group) (ucode.Row, bool) {
+func ExecRowOf(g vax.Group) (ucode.Row, bool) {
 	switch g {
 	case vax.GroupSimple:
 		return ucode.RowSimple, true
@@ -309,7 +309,7 @@ func execRowOf(g vax.Group) (ucode.Row, bool) {
 	return 0, false
 }
 
-// groupOfRow inverts execRowOf for rows that are execute rows.
+// groupOfRow inverts ExecRowOf for rows that are execute rows.
 func groupOfRow(row ucode.Row) (vax.Group, bool) {
 	switch row {
 	case ucode.RowSimple:

@@ -32,9 +32,9 @@ func register(op vax.Opcode, fn execFn) {
 }
 
 // RegisteredOpcodes returns the opcodes with an execute microroutine, in
-// ascending code order. The latency oracle (cmd/vaxlat, DESIGN.md §16)
-// sweeps exactly this set: its committed table must cover every entry,
-// and cover nothing else.
+// ascending code order. The measured latency table (cmd/vaxlat,
+// DESIGN.md §16) sweeps exactly this set, so the committed latency.json
+// covers every entry and nothing else.
 func RegisteredOpcodes() []vax.Opcode {
 	var ops []vax.Opcode
 	for code := 0; code < len(execTable); code++ {

@@ -2,7 +2,9 @@
 // evaluation: it runs the five-workload composite on the simulated
 // VAX-11/780 under the µPC monitor, reduces the histogram, renders each
 // table next to the published numbers, and checks that the shape of every
-// result holds (who wins, by roughly what factor).
+// result holds (who wins, by roughly what factor). latency.go applies the
+// same Table 8 reduction to single instructions: the per-opcode latency
+// table.
 package experiments
 
 import (

@@ -1,37 +1,109 @@
-// The dynamic half of the latency oracle (DESIGN.md §16): single-step
-// every registered opcode under directed conditions on a real Machine
-// and attribute the measured µPC histogram over the opcode's committed
-// word set. The static table (internal/latency, derived by the ulat
-// analyzer, committed as latency.json) declares per-class bounds; the
-// measurement here must land inside them — the software analogue of
-// uops.info's measured-vs-documented diffing.
+// The latency table (DESIGN.md §16): every registered opcode single-stepped
+// on a fresh Machine under a fixed list of directed variants, every
+// addressing mode measured by a TSTL through it, and each instruction's
+// exec-channel µPC counts reduced into Table 8 (row, column) cells — the
+// paper's own reduction applied to one instruction at a time, in the
+// manner of uops.info's measured per-instruction tables. cmd/vaxlat
+// commits the result as latency.json and LATENCY.md, and
+// TestLatencyOracle requires a fresh sweep to reproduce both files byte
+// for byte.
 //
-// Directed conditions, mirroring the static pruning policy exactly:
-// physical addressing (no TB-miss service), aligned operands (no
-// alignment microcode), no pending interrupts, patch cycles disabled.
-// Attribution is over the opcode's word set, so specifier-phase cycles
-// (measured separately per addressing mode), the decode cycle, and any
-// service-row cycles an opcode's own semantics trigger (a CHMK's
-// delivery runs on its System-row words; a fault's delivery runs on
-// pruned exception-row words) never leak into the execute-phase
-// comparison.
+// Directed conditions: physical addressing (no TB-miss service), aligned
+// operand addresses, no pending interrupts, patch cycles disabled.
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
+	"maps"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
+	"vax780/internal/core"
 	"vax780/internal/cpu"
-	"vax780/internal/latency"
 	"vax780/internal/ucode"
 	"vax780/internal/vax"
 )
 
+// LatencyFile and LatencyDoc are the committed table's file names at the
+// module root: the machine-readable form and its rendering.
+const (
+	LatencyFile = "latency.json"
+	LatencyDoc  = "LATENCY.md"
+)
+
+// latencyVersion is the schema version of latency.json.
+const latencyVersion = 2
+
+// Cells is one measured instruction: exec-channel cycle counts keyed by
+// Table 8 row (ucode.Row.String) and then by column (ucode.Class.String).
+type Cells map[string]map[string]uint64
+
+// LatencyTable is the whole committed latency.json.
+type LatencyTable struct {
+	Version int             `json:"version"`
+	Note    string          `json:"note"`
+	Opcodes []LatencyOpcode `json:"opcodes"`
+	Modes   []LatencyMode   `json:"modes"`
+}
+
+// LatencyOpcode is one opcode's measurements: the base variant's cells,
+// then every other variant whose cells differ from them.
+type LatencyOpcode struct {
+	Name     string           `json:"name"`
+	Row      string           `json:"row"` // its Table 8 execute row
+	Cells    Cells            `json:"cells"`
+	Variants []LatencyVariant `json:"variants,omitempty"`
+}
+
+// LatencyVariant is one non-base variant's cells.
+type LatencyVariant struct {
+	Name  string `json:"name"`
+	Cells Cells  `json:"cells"`
+}
+
+// LatencyMode is one addressing mode's row: a TSTL through the mode.
+type LatencyMode struct {
+	Mode  string `json:"mode"`
+	Cells Cells  `json:"cells"`
+}
+
+// latVariant is one directed condition of the sweep. The zero value is
+// the base variant: literal and register operands, condition codes
+// clear, zeroed scratch memory, a RET frame from CALLG with no saved
+// registers.
+type latVariant struct {
+	name    string
+	memory  bool // write, modify and field operands through (Rn); scratch region i holds bytes 0xFF-i
+	indexed bool // those operands through (Rn)[R0] instead, R0 = 0: stores run in the SPEC2-6 bank
+	span    bool // field operands through (Rn) with size 30, so a memory field spans two longwords
+	codes   bool // N, Z, V and C set, so the conditional branches base skips are taken
+	zero    bool // short literals 0 instead of 1: zero-trip loops, empty masks, low bit clear
+	sirr    bool // MTPR writes SIRR, the processor register with its own microword
+	bytes   bool // string lengths 5 and 9, so the byte loop and the fill loop run
+	calls   bool // RET returns from a CALLS frame that saved R0 and passed one argument
+}
+
+// latVariants is the fixed variant list, base first.
+var latVariants = [...]latVariant{
+	{name: "base"},
+	{name: "memory", memory: true},
+	{name: "indexed", memory: true, indexed: true},
+	{name: "span", span: true},
+	{name: "codes", codes: true},
+	{name: "zero", zero: true},
+	{name: "sirr", sirr: true},
+	{name: "bytes", bytes: true},
+	{name: "calls", calls: true},
+}
+
 // latProbe is the measurement histogram: exec-channel counts only.
-// Stalls are timing, not attribution, and the static side carries no
-// stall bounds. Counts live in a dense table — Count runs once per
-// machine cycle, inside the hot path the hotpath analyzer prices.
+// Stall cycles are timing, not attribution. Counts live in a dense table
+// — Count runs once per machine cycle, inside the hot path the hotpath
+// analyzer prices.
 type latProbe struct {
 	counts [ucode.StoreSize]uint64
 }
@@ -51,6 +123,7 @@ const (
 	latStack   = 0x7FF8 // kernel SP: a PC/PSL pair sits on the stack
 
 	latRegionSize = 0x200
+	latRegions    = 6
 )
 
 // latRegion returns operand i's scratch region base.
@@ -97,7 +170,7 @@ func newLatMachine() (*cpu.Machine, *latProbe) {
 
 	// Operand base registers: R2+2i addresses region i, leaving the odd
 	// register of each pair free for quad-width operands.
-	for i := 0; i < 6; i++ {
+	for i := 0; i < latRegions; i++ {
 		m.R[2+2*i] = latRegion(i)
 	}
 
@@ -107,14 +180,32 @@ func newLatMachine() (*cpu.Machine, *latProbe) {
 	return m, p
 }
 
-// prepOperands writes whatever operand memory an opcode's semantics
-// demand beyond zero-filled scratch.
-func prepOperands(m *cpu.Machine, info *vax.OpInfo) {
+// prepMachine sets the variant's scratch fill, condition codes and RET
+// frame, then writes whatever operand memory the opcode's semantics
+// demand.
+func prepMachine(m *cpu.Machine, info *vax.OpInfo, v latVariant) {
+	if v.memory {
+		// Distinct nonzero bytes per region: set bits for the bit
+		// branches, unequal strings for the compares, a full CALL mask.
+		for i := 0; i < latRegions; i++ {
+			for a := latRegion(i); a < latRegion(i+1); a += 4 {
+				m.Mem.WriteLong(a, 0x01010101*uint32(0xFF-i))
+			}
+		}
+	}
+	if v.codes {
+		m.PSL |= vax.PSLN | vax.PSLZ | vax.PSLV | vax.PSLC
+	}
+	if v.calls {
+		m.Mem.WriteLong(latFrame+4, 1<<29|1<<16) // S bit, register mask {R0}
+		m.Mem.WriteLong(latFrame+20, 0)          // saved R0
+		m.Mem.WriteLong(latFrame+24, 1)          // argument count
+	}
 	switch info.Group {
 	case vax.GroupDecimal:
 		// Valid packed decimal "123" (plus sign) in every region: a
 		// nonzero divisor for DIVP, valid nibbles everywhere.
-		for i := 0; i < 6; i++ {
+		for i := 0; i < latRegions; i++ {
 			m.Mem.SetByte(latRegion(i), 0x12)
 			m.Mem.SetByte(latRegion(i)+1, 0x3C)
 		}
@@ -132,30 +223,28 @@ func prepOperands(m *cpu.Machine, info *vax.OpInfo) {
 }
 
 // encodeFor builds the I-stream bytes of one directed instance of the
-// opcode: literal sources, register (pair) destinations, deferred
-// scratch addresses for address/field operands, and a zero branch
+// opcode: literal sources, register (pair) or (Rn) destinations,
+// deferred scratch addresses for address operands, and a zero branch
 // displacement. The choices keep every instruction legal — nonzero
-// divisors, field positions inside a register, CASE selector on its
-// single zero-displacement table entry.
-func encodeFor(info *vax.OpInfo) ([]byte, error) {
+// divisors, field positions inside a register, a limit-0 CASE with its
+// one displacement word.
+func encodeFor(info *vax.OpInfo, v latVariant) ([]byte, error) {
 	buf := []byte{byte(info.Code)}
 	for i, spec := range info.Specs {
-		s := vax.Specifier{}
+		s := vax.Specifier{Mode: vax.ModeRegister, Base: vax.Reg(2 + 2*i)}
 		switch spec.Access {
 		case vax.AccessRead:
-			if spec.Type.Size() == 8 {
-				s.Mode = vax.ModeRegister
-				s.Base = vax.Reg(2 + 2*i)
-			} else {
+			if spec.Type.Size() != 8 {
 				s.Mode = vax.ModeLiteral
-				s.Disp = readLiteral(info, i)
+				s.Disp = readLiteral(info, i, v)
 			}
 		case vax.AccessWrite, vax.AccessModify, vax.AccessField:
-			s.Mode = vax.ModeRegister
-			s.Base = vax.Reg(2 + 2*i)
+			if v.memory || v.span && spec.Access == vax.AccessField {
+				s.Mode = vax.ModeRegDeferred
+				s.Indexed, s.Index = v.indexed, vax.R0
+			}
 		case vax.AccessAddr:
 			s.Mode = vax.ModeRegDeferred
-			s.Base = vax.Reg(2 + 2*i)
 		default:
 			return nil, fmt.Errorf("%s operand %d: unhandled access %v", info.Name, i, spec.Access)
 		}
@@ -178,10 +267,13 @@ func encodeFor(info *vax.OpInfo) ([]byte, error) {
 }
 
 // readLiteral picks the short-literal value of read operand i.
-func readLiteral(info *vax.OpInfo, i int) int32 {
+func readLiteral(info *vax.OpInfo, i int, v latVariant) int32 {
 	switch info.Name {
 	case "MTPR":
 		if i == 1 {
+			if v.sirr {
+				return cpu.PRSIRR
+			}
 			return cpu.PRSCBB // a real, writable processor register
 		}
 	case "MFPR":
@@ -191,102 +283,85 @@ func readLiteral(info *vax.OpInfo, i int) int32 {
 	case "INDEX":
 		// subscript 1 in [0,5], size 4, indexin 0: no subscript-range trap.
 		return []int32{1, 0, 5, 4, 0}[i]
-	case "EXTV", "EXTZV", "FFS", "FFC", "CMPV", "CMPZV", "INSV":
-		return 3 // field position/size inside one register
-	case "BBS", "BBC", "BBSS", "BBCS", "BBSC", "BBCC", "BBSSI", "BBCCI":
-		return 3
-	case "ASHP", "ASHL", "ASHQ":
-		if i == 0 {
-			return 1 // shift count
-		}
 	case "CASEB", "CASEW", "CASEL":
-		return 0 // selector = base = limit = 0: exactly one table entry
+		if i > 0 {
+			return 0 // base = limit = 0: one table entry; selector 1 misses it, 0 (zero) hits it
+		}
 	case "MOVC3", "MOVC5", "CMPC3", "CMPC5", "MOVTC", "LOCC", "SKPC", "SCANC", "SPANC":
-		if spec := info.Specs[i]; spec.Type == vax.TypeWord {
-			return 4 // string lengths: a few iterations of each loop
+		if info.Specs[i].Type != vax.TypeWord {
+			return 0 // fill/char/escape bytes
 		}
-		return 0 // fill/char/escape bytes
-	case "CALLS", "PUSHR", "POPR":
-		if i == 0 {
-			return 1 // one argument / register mask {R0}
+		switch {
+		case v.zero:
+			return 0
+		case !v.bytes:
+			return 4 // one longword iteration of the move loops
+		case slices.ContainsFunc(info.Specs[:i], func(s vax.OperandSpec) bool { return s.Type == vax.TypeWord }):
+			return 9 // a second length longer than the first: the fill loops run
+		default:
+			return 5 // one longword and one byte iteration
 		}
+	}
+	if v.zero {
+		return 0
+	}
+	switch info.Name {
+	case "EXTV", "EXTZV", "FFS", "FFC", "CMPV", "CMPZV", "INSV",
+		"BBS", "BBC", "BBSS", "BBCS", "BBSC", "BBCC", "BBSSI", "BBCCI":
+		if v.span && info.Specs[i].Type == vax.TypeByte {
+			return 30 // the size: from position 3, the field reaches the next longword
+		}
+		return 3 // field position/size inside one register
 	}
 	return 1
 }
 
-// wordSetMatcher compiles a committed word set into a name predicate.
-// A trailing ".*" entry is a prefix wildcard: the static side emits one
-// when a whole handle family flows through a single indexed table (the
-// per-mode dispatch banks), and the dynamic side must attribute every
-// member the same way.
-func wordSetMatcher(words []string) func(name string) bool {
-	exact := make(map[string]bool, len(words))
-	var prefixes []string
-	for _, w := range words {
-		if strings.HasSuffix(w, ".*") {
-			prefixes = append(prefixes, strings.TrimSuffix(w, "*"))
-		} else {
-			exact[w] = true
-		}
-	}
-	return func(name string) bool {
-		if exact[name] {
-			return true
-		}
-		for _, p := range prefixes {
-			if strings.HasPrefix(name, p) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-// wordAddrs maps word names to control-store addresses (for the
-// corruption test's deliberate misattribution).
-func wordAddrs() map[string]uint16 {
-	out := make(map[string]uint16)
-	for _, w := range cpu.CS.Words() {
-		out[w.Name] = w.Addr
-	}
-	return out
-}
-
-// MeasureOpcodeLatency single-steps one directed instance of the opcode
-// and returns its measured execute-phase cycles per class constant
-// name, attributed over the committed word set. remap, if non-nil,
-// rewrites histogram µPCs before attribution — the corruption hook: the
-// oracle must catch a count that lands on the wrong word.
-func MeasureOpcodeLatency(op *latency.Opcode, remap map[uint16]uint16) (map[string]uint64, error) {
-	info := vax.LookupName(op.Name)
-	if info == nil {
-		return nil, fmt.Errorf("latency table names unknown opcode %s", op.Name)
-	}
-	buf, err := encodeFor(info)
-	if err != nil {
-		return nil, err
-	}
+// stepOnce single-steps the instruction in buf on a fresh measurement
+// machine, prepared by prep, and reduces its counts into cells.
+func stepOnce(buf []byte, prep func(*cpu.Machine), remap map[uint16]uint16, exec ucode.Row) (Cells, error) {
 	m, p := newLatMachine()
-	prepOperands(m, info)
+	prep(m)
 	m.Mem.Load(latCode, buf)
 	m.SetPC(latCode)
 	m.StepInstruction()
 	if err := m.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %w", op.Name, err)
+		return nil, err
 	}
+	return reduceCells(p, remap, exec)
+}
 
-	byAddr := make(map[uint16]struct {
-		name  string
-		class string
-	})
-	for _, w := range cpu.CS.Words() {
-		byAddr[w.Addr] = struct {
-			name  string
-			class string
-		}{w.Name, w.Class.ConstName()}
+// MeasureOpcodeLatency single-steps one directed instance of the opcode
+// under the named variant and returns its cells. remap, if non-nil,
+// rewrites histogram µPCs before they are reduced — the corruption hook:
+// the oracle must catch a count that lands on the wrong word. A count in
+// a Table 8 row the opcode may not reach is an error (see checkRow).
+func MeasureOpcodeLatency(info *vax.OpInfo, variant string, remap map[uint16]uint16) (Cells, error) {
+	i := slices.IndexFunc(latVariants[:], func(v latVariant) bool { return v.name == variant })
+	if i < 0 {
+		return nil, fmt.Errorf("no latency variant %q", variant)
 	}
-	inSet := wordSetMatcher(op.Words)
-	measured := make(map[string]uint64)
+	v := latVariants[i]
+	exec, ok := core.ExecRowOf(info.Group)
+	if !ok {
+		return nil, fmt.Errorf("%s: group %v has no Table 8 execute row", info.Name, info.Group)
+	}
+	buf, err := encodeFor(info, v)
+	if err != nil {
+		return nil, err
+	}
+	cells, err := stepOnce(buf, func(m *cpu.Machine) { prepMachine(m, info, v) }, remap, exec)
+	if err != nil {
+		return nil, fmt.Errorf("%s (%s): %w", info.Name, variant, err)
+	}
+	return cells, nil
+}
+
+// reduceCells folds the probe's counts into Table 8 cells, requiring each
+// count to land in a row the instruction may reach: the decode,
+// specifier and branch-displacement rows every instruction shares, its
+// own execute row, or a service row.
+func reduceCells(p *latProbe, remap map[uint16]uint16, exec ucode.Row) (Cells, error) {
+	cells := make(Cells)
 	for a, n := range p.counts {
 		if n == 0 {
 			continue
@@ -295,127 +370,238 @@ func MeasureOpcodeLatency(op *latency.Opcode, remap map[uint16]uint16) (map[stri
 		if to, ok := remap[upc]; ok {
 			upc = to
 		}
-		w, ok := byAddr[upc]
-		if !ok || !inSet(w.name) {
-			continue
+		w := cpu.CS.Word(upc)
+		if err := checkRow(w, exec); err != nil {
+			return nil, err
 		}
-		measured[w.class] += n
+		row := w.Row.String()
+		if cells[row] == nil {
+			cells[row] = make(map[string]uint64)
+		}
+		cells[row][w.Class.String()] += n
 	}
-	return measured, nil
+	return cells, nil
 }
 
-// MeasureModeLatency measures one addressing mode's specifier cost: a
-// TSTL through the mode, attributed over the mode row's word set. TSTL
-// is the minimal carrier — its execute phase is a single Simple-row
-// word outside every mode word set.
-func MeasureModeLatency(mode *latency.Mode) (map[string]uint64, error) {
-	s, setup, err := modeSpecifier(mode.Mode)
+// checkRow is the row assertion: a word counted outside the shared rows,
+// the instruction's execute row and the service rows means the model
+// charges the instruction to another group's Table 8 row.
+func checkRow(w ucode.Word, exec ucode.Row) error {
+	switch w.Row {
+	case ucode.RowDecode, ucode.RowSpec1, ucode.RowSpec26, ucode.RowBDisp,
+		ucode.RowIntExcept, ucode.RowMemMgmt, ucode.RowAbort, exec:
+		return nil
+	}
+	return fmt.Errorf("word %s counted in Table 8 row %s, outside execute row %s", w.Name, w.Row, exec)
+}
+
+// MeasureModeLatency measures one addressing mode: a TSTL through the
+// mode, the minimal carrier — its execute phase is a single Simple-row
+// word.
+func MeasureModeLatency(mode vax.AddrMode) (Cells, error) {
+	s, setup := modeSpecifier(mode)
+	buf, err := vax.EncodeSpecifier([]byte{byte(vax.TSTL)}, s, vax.TypeLong)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", mode, err)
+	}
+	cells, err := stepOnce(buf, setup, nil, ucode.RowSimple)
+	if err != nil {
+		return nil, fmt.Errorf("TSTL %s: %w", mode, err)
+	}
+	return cells, nil
+}
+
+// modeSpecifier builds the directed TSTL specifier for one mode, plus any
+// machine setup (the pointer the deferred modes follow).
+func modeSpecifier(mode vax.AddrMode) (vax.Specifier, func(*cpu.Machine)) {
+	s := vax.Specifier{Mode: mode, Base: vax.R2}
+	pointer := func(at uint32) func(*cpu.Machine) {
+		return func(m *cpu.Machine) { m.Mem.WriteLong(at, latRegion(1)) }
+	}
+	setup := func(*cpu.Machine) {}
+	switch mode {
+	case vax.ModeLiteral:
+		s.Disp = 1
+	case vax.ModeImmediate:
+		s.Imm = 5
+	case vax.ModeAbsolute:
+		s.Imm = uint64(latRegion(1))
+	case vax.ModeAutoIncDef:
+		setup = pointer(latRegion(0))
+	case vax.ModeByteDisp, vax.ModeWordDisp, vax.ModeLongDisp:
+		s.Disp = 8
+	case vax.ModeByteDispDef, vax.ModeWordDispDef, vax.ModeLongDispDef:
+		s.Disp = 8
+		setup = pointer(latRegion(0) + 8)
+	}
+	return s, setup
+}
+
+// MeasureLatencyTable runs the whole sweep: every registered opcode under
+// every variant, and every addressing mode.
+func MeasureLatencyTable() (*LatencyTable, error) {
+	tab := &LatencyTable{
+		Version: latencyVersion,
+		Note:    "measured Table 8 cells per opcode and variant (DESIGN.md §16); regenerate with `go run ./cmd/vaxlat`",
+	}
+	for _, code := range cpu.RegisteredOpcodes() {
+		info := vax.Lookup(code)
+		if info == nil {
+			return nil, fmt.Errorf("registered opcode %#02x has no vax.OpInfo row", uint8(code))
+		}
+		exec, _ := core.ExecRowOf(info.Group)
+		op := LatencyOpcode{Name: info.Name, Row: exec.String()}
+		for i, v := range latVariants {
+			cells, err := MeasureOpcodeLatency(info, v.name, nil)
+			if err != nil {
+				return nil, err
+			}
+			if i == 0 {
+				op.Cells = cells
+			} else if !maps.EqualFunc(cells, op.Cells, maps.Equal) {
+				op.Variants = append(op.Variants, LatencyVariant{Name: v.name, Cells: cells})
+			}
+		}
+		tab.Opcodes = append(tab.Opcodes, op)
+	}
+	sort.Slice(tab.Opcodes, func(i, j int) bool { return tab.Opcodes[i].Name < tab.Opcodes[j].Name })
+	for mode := vax.AddrMode(0); int(mode) < vax.NumAddrModes; mode++ {
+		cells, err := MeasureModeLatency(mode)
+		if err != nil {
+			return nil, err
+		}
+		tab.Modes = append(tab.Modes, LatencyMode{Mode: mode.String(), Cells: cells})
+	}
+	return tab, nil
+}
+
+// Marshal renders the table in its committed byte form: two-space
+// indent, trailing newline. Maps marshal key-sorted, so identical
+// measurements give identical bytes.
+func (t *LatencyTable) Marshal() ([]byte, error) {
+	b, err := json.MarshalIndent(t, "", "  ")
 	if err != nil {
 		return nil, err
 	}
-	info := vax.LookupName("TSTL")
-	if info == nil {
-		return nil, fmt.Errorf("TSTL missing from the opcode table")
-	}
-	buf := []byte{byte(info.Code)}
-	buf, err = vax.EncodeSpecifier(buf, s, vax.TypeLong)
+	return append(b, '\n'), nil
+}
+
+// LoadLatencyTable reads a committed table.
+func LoadLatencyTable(path string) (*LatencyTable, error) {
+	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", mode.Mode, err)
+		return nil, fmt.Errorf("latency table: %w", err)
 	}
-	m, p := newLatMachine()
-	setup(m)
-	m.Mem.Load(latCode, buf)
-	m.SetPC(latCode)
-	m.StepInstruction()
-	if err := m.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %w", mode.Mode, err)
+	var t LatencyTable
+	if err := json.Unmarshal(b, &t); err != nil {
+		return nil, fmt.Errorf("latency table %s: %w", path, err)
 	}
-	inSet := wordSetMatcher(mode.Words)
-	classAt := make(map[uint16]string)
-	for _, w := range cpu.CS.Words() {
-		if inSet(w.Name) {
-			classAt[w.Addr] = w.Class.ConstName()
-		}
+	if t.Version != latencyVersion {
+		return nil, fmt.Errorf("latency table %s: schema version %d, want %d", path, t.Version, latencyVersion)
 	}
-	measured := make(map[string]uint64)
-	for a, n := range p.counts {
-		if n == 0 {
-			continue
-		}
-		if class, ok := classAt[uint16(a)]; ok {
-			measured[class] += n
-		}
-	}
-	return measured, nil
+	return &t, nil
 }
 
-// modeSpecifier builds the directed TSTL specifier for one mode-table
-// row, plus any machine setup (pointers for the deferred modes).
-func modeSpecifier(mode string) (vax.Specifier, func(*cpu.Machine), error) {
-	none := func(*cpu.Machine) {}
-	switch mode {
-	case "ModeLiteral":
-		return vax.Specifier{Mode: vax.ModeLiteral, Disp: 1}, none, nil
-	case "ModeImmediate":
-		return vax.Specifier{Mode: vax.ModeImmediate, Imm: 5}, none, nil
-	case "ModeRegister":
-		return vax.Specifier{Mode: vax.ModeRegister, Base: vax.R2}, none, nil
-	case "ModeRegDeferred":
-		return vax.Specifier{Mode: vax.ModeRegDeferred, Base: vax.R2}, none, nil
-	case "ModeAutoInc":
-		return vax.Specifier{Mode: vax.ModeAutoInc, Base: vax.R2}, none, nil
-	case "ModeAutoDec":
-		return vax.Specifier{Mode: vax.ModeAutoDec, Base: vax.R2}, none, nil
-	case "ModeAutoIncDef":
-		return vax.Specifier{Mode: vax.ModeAutoIncDef, Base: vax.R2}, func(m *cpu.Machine) {
-			m.Mem.WriteLong(latRegion(0), latRegion(1))
-		}, nil
-	case "ModeAbsolute":
-		return vax.Specifier{Mode: vax.ModeAbsolute, Imm: uint64(latRegion(1))}, none, nil
-	case "ModeByteDisp":
-		return vax.Specifier{Mode: vax.ModeByteDisp, Base: vax.R2, Disp: 8}, none, nil
-	case "ModeWordDisp":
-		return vax.Specifier{Mode: vax.ModeWordDisp, Base: vax.R2, Disp: 8}, none, nil
-	case "ModeLongDisp":
-		return vax.Specifier{Mode: vax.ModeLongDisp, Base: vax.R2, Disp: 8}, none, nil
-	case "ModeByteDispDef", "ModeWordDispDef", "ModeLongDispDef":
-		am := map[string]vax.AddrMode{
-			"ModeByteDispDef": vax.ModeByteDispDef,
-			"ModeWordDispDef": vax.ModeWordDispDef,
-			"ModeLongDispDef": vax.ModeLongDispDef,
-		}[mode]
-		return vax.Specifier{Mode: am, Base: vax.R2, Disp: 8}, func(m *cpu.Machine) {
-			m.Mem.WriteLong(latRegion(0)+8, latRegion(1))
-		}, nil
+// Root walks up from the working directory to the module root — the
+// nearest ancestor holding go.mod — so tests and tools can locate the
+// committed latency.json wherever they run.
+func Root() (string, error) {
+	dir, err := os.Getwd()
+	if err != nil {
+		return "", err
 	}
-	return vax.Specifier{}, nil, fmt.Errorf("mode table names unknown mode %s", mode)
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir, nil
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", fmt.Errorf("no go.mod above %s", dir)
+		}
+		dir = parent
+	}
 }
 
-// CheckLatencyTable runs the full dynamic cross-check: every opcode and
-// every mode of the committed table measured and bounds-checked.
-// Returned problems are empty when the machine agrees with its own
-// microcode-derived oracle.
-func CheckLatencyTable(tab *latency.Table) ([]string, error) {
-	var probs []string
-	for i := range tab.Opcodes {
-		op := &tab.Opcodes[i]
-		measured, err := MeasureOpcodeLatency(op, nil)
-		if err != nil {
-			return nil, err
+// Render is the committed LATENCY.md: one line per opcode and stored
+// variant, then one per addressing mode, with a column per Table 8 row
+// group and each cell listing its classes.
+func (t *LatencyTable) Render() []byte {
+	var sb strings.Builder
+	sb.WriteString(`# Per-opcode latency table
+
+Measured exec-channel microcycles per Table 8 row and column: each
+registered opcode is single-stepped on a fresh machine under a fixed list
+of directed variants (DESIGN.md §16), and each addressing mode is measured
+by a TSTL through it. A variant is listed only where its cells differ from
+the base variant's. *Execute* is the opcode's own row (the *Row* column);
+*Service* names any Int/Except, Mem Mgmt or Abort cell.
+
+Regenerate with ` + "`go run ./cmd/vaxlat`" + `; ` + "`go test -run TestLatency ./internal/experiments`" + `
+fails when a fresh sweep differs from this file or from latency.json.
+
+## Opcodes
+
+| Opcode | Variant | Row | Decode | SPEC1 | SPEC2-6 | B-DISP | Execute | Service |
+|---|---|---|---|---|---|---|---|---|
+`)
+	for _, op := range t.Opcodes {
+		renderLine(&sb, []string{op.Name, "base", op.Row}, op.Cells, op.Row)
+		for _, v := range op.Variants {
+			renderLine(&sb, []string{"", v.Name, ""}, v.Cells, op.Row)
 		}
-		probs = append(probs, op.Check(measured)...)
 	}
-	for i := range tab.Modes {
-		mode := &tab.Modes[i]
-		measured, err := MeasureModeLatency(mode)
-		if err != nil {
-			return nil, err
+	sb.WriteString(`
+## Addressing modes (TSTL, longword operand)
+
+| Mode | Decode | SPEC1 | SPEC2-6 | B-DISP | Execute | Service |
+|---|---|---|---|---|---|---|
+`)
+	for _, mo := range t.Modes {
+		renderLine(&sb, []string{mo.Mode}, mo.Cells, ucode.RowSimple.String())
+	}
+	return []byte(sb.String())
+}
+
+// renderLine writes one table line: the label columns, then the shared
+// rows, the execute row and the service rows.
+func renderLine(sb *strings.Builder, labels []string, cells Cells, exec string) {
+	sb.WriteString("|")
+	for _, l := range labels {
+		sb.WriteString(" " + l + " |")
+	}
+	shared := []string{ucode.RowDecode.String(), ucode.RowSpec1.String(), ucode.RowSpec26.String(), ucode.RowBDisp.String()}
+	for _, row := range append(shared, exec) {
+		sb.WriteString(" " + classText(cells[row]) + " |")
+	}
+	var service []string
+	for _, row := range sortedKeys(cells) {
+		if row != exec && !slices.Contains(shared, row) {
+			service = append(service, row+": "+classText(cells[row]))
 		}
-		// Same containment policy as Opcode.Check; mode rows carry no
-		// loop terms, so Max always binds.
-		probe := latency.Opcode{Name: mode.Mode, Classes: mode.Classes}
-		probs = append(probs, probe.Check(measured)...)
 	}
-	sort.Strings(probs)
-	return probs, nil
+	if len(service) == 0 {
+		service = []string{"·"}
+	}
+	sb.WriteString(" " + strings.Join(service, "; ") + " |\n")
+}
+
+// classText renders one cell's classes as "compute 2, read 1".
+func classText(classes map[string]uint64) string {
+	if len(classes) == 0 {
+		return "·"
+	}
+	var parts []string
+	for _, c := range sortedKeys(classes) {
+		parts = append(parts, fmt.Sprintf("%s %d", c, classes[c]))
+	}
+	return strings.Join(parts, ", ")
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -1,137 +1,156 @@
 package experiments
 
 import (
-	"encoding/json"
+	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"vax780/internal/cpu"
-	"vax780/internal/latency"
 	"vax780/internal/vax"
 )
 
-// loadLatencyTable reads the committed latency.json at the module root.
-func loadLatencyTable(t *testing.T) *latency.Table {
+// committedPath returns the path of a committed file at the module root.
+func committedPath(t *testing.T, name string) string {
 	t.Helper()
-	root, err := latency.Root("")
+	root, err := Root()
 	if err != nil {
 		t.Fatalf("module root: %v", err)
 	}
-	tab, err := latency.Load(filepath.Join(root, latency.File))
-	if err != nil {
-		t.Fatalf("load committed table: %v", err)
-	}
-	return tab
+	return filepath.Join(root, name)
 }
 
-// TestLatencyOracle is the dynamic half of the oracle: the committed
-// table covers exactly the registered opcodes, and every opcode's and
-// every addressing mode's measured execute-phase cycles land inside the
-// statically derived bounds.
+// TestLatencyOracle is the latency oracle: a fresh sweep must reproduce
+// the committed latency.json and LATENCY.md byte for byte, so any change
+// to any opcode's or addressing mode's measured cells — one cycle, one
+// class, one row — fails here until the table is regenerated and the
+// diff reviewed. The committed table must cover exactly the registered
+// opcodes and every addressing mode.
 func TestLatencyOracle(t *testing.T) {
-	tab := loadLatencyTable(t)
-
-	inTable := make(map[string]bool, len(tab.Opcodes))
-	for _, op := range tab.Opcodes {
-		inTable[op.Name] = true
-	}
-	registered := make(map[string]bool)
-	for _, code := range cpu.RegisteredOpcodes() {
-		info := vax.Lookup(code)
-		if info == nil {
-			t.Fatalf("registered opcode %#02x has no vax.OpInfo row", uint8(code))
-		}
-		registered[info.Name] = true
-		if !inTable[info.Name] {
-			t.Errorf("registered opcode %s missing from committed latency.json; regenerate with `go run ./cmd/vaxlat`", info.Name)
-		}
-	}
-	for name := range inTable {
-		if !registered[name] {
-			t.Errorf("latency.json row %s has no registered microroutine; regenerate with `go run ./cmd/vaxlat`", name)
-		}
-	}
-
-	probs, err := CheckLatencyTable(tab)
+	tab, err := MeasureLatencyTable()
 	if err != nil {
-		t.Fatalf("cross-check: %v", err)
+		t.Fatalf("sweep: %v", err)
 	}
-	for _, p := range probs {
-		t.Errorf("static/dynamic disagreement: %s", p)
+	js, err := tab.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name string
+		want []byte
+	}{{LatencyFile, js}, {LatencyDoc, tab.Render()}} {
+		got, err := os.ReadFile(committedPath(t, f.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, f.want) {
+			t.Errorf("committed %s differs from the measurement; regenerate with `go run ./cmd/vaxlat` and review the diff", f.name)
+		}
+	}
+
+	committed, err := LoadLatencyTable(committedPath(t, LatencyFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, op := range committed.Opcodes {
+		names = append(names, op.Name)
+	}
+	var want []string
+	for _, code := range cpu.RegisteredOpcodes() {
+		want = append(want, vax.Lookup(code).Name)
+	}
+	sort.Strings(want)
+	if !slices.Equal(names, want) {
+		t.Errorf("latency.json opcodes %v, registered %v", names, want)
+	}
+	if len(committed.Modes) != vax.NumAddrModes {
+		t.Errorf("latency.json has %d mode rows, want %d", len(committed.Modes), vax.NumAddrModes)
 	}
 }
 
-// TestLatencySweepDeterministic runs the full sweep twice concurrently
+// TestLatencySweepDeterministic runs the whole sweep twice concurrently
 // (the machines share only the sealed control store) and demands
-// byte-identical serialized results: the measurement owes the same
-// determinism contract as the simulator it measures.
+// byte-identical marshalled tables — every opcode, every variant, every
+// mode row: the measurement owes the same determinism contract as the
+// simulator it measures.
 func TestLatencySweepDeterministic(t *testing.T) {
-	tab := loadLatencyTable(t)
-	sweep := func() []byte {
-		out := make(map[string]map[string]uint64, len(tab.Opcodes))
-		for i := range tab.Opcodes {
-			op := &tab.Opcodes[i]
-			m, err := MeasureOpcodeLatency(op, nil)
-			if err != nil {
-				t.Errorf("%s: %v", op.Name, err)
-				return nil
-			}
-			out[op.Name] = m
-		}
-		b, err := json.Marshal(out) // map keys marshal sorted
-		if err != nil {
-			t.Errorf("marshal: %v", err)
-		}
-		return b
-	}
-	var a, b []byte
+	var out [2][]byte
+	var errs [2]error
 	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); a = sweep() }()
-	go func() { defer wg.Done(); b = sweep() }()
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tab, err := MeasureLatencyTable()
+			if err == nil {
+				out[i], err = tab.Marshal()
+			}
+			errs[i] = err
+		}()
+	}
 	wg.Wait()
-	if a == nil || b == nil {
-		t.Fatal("sweep failed")
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("two identical sweeps measured different cycle attributions")
+	if !bytes.Equal(out[0], out[1]) {
+		t.Error("two identical sweeps measured different tables")
 	}
+}
+
+// wordAddr returns a named microword's control-store address.
+func wordAddr(t *testing.T, name string) uint16 {
+	t.Helper()
+	a, ok := cpu.CS.Lookup(name)
+	if !ok {
+		t.Fatalf("no microword %s", name)
+	}
+	return a
 }
 
 // TestLatencyMisattributionCaught is the corruption test: shifting one
 // microword's measured counts onto a different-class word of the same
-// routine must violate the bounds. If this passes trivially the oracle
-// has no teeth.
+// routine must change the cells the oracle compares. If this passes
+// trivially the oracle has no teeth.
 func TestLatencyMisattributionCaught(t *testing.T) {
-	tab := loadLatencyTable(t)
-	var chmk *latency.Opcode
-	for i := range tab.Opcodes {
-		if tab.Opcodes[i].Name == "CHMK" {
-			chmk = &tab.Opcodes[i]
+	tab, err := LoadLatencyTable(committedPath(t, LatencyFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed Cells
+	for _, op := range tab.Opcodes {
+		if op.Name == "CHMK" {
+			committed = op.Cells
 		}
 	}
-	if chmk == nil {
+	if committed == nil {
 		t.Fatal("CHMK missing from committed table")
 	}
-	addrs := wordAddrs()
-	work, okW := addrs["exec.sys.chm.work"]
-	push, okP := addrs["exec.sys.chm.push"]
-	if !okW || !okP {
-		names := make([]string, 0, len(addrs))
-		for n := range addrs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		t.Fatalf("chm microwords renamed; control store has %v", names)
-	}
-	measured, err := MeasureOpcodeLatency(chmk, map[uint16]uint16{work: push})
+	remap := map[uint16]uint16{wordAddr(t, "exec.sys.chm.work"): wordAddr(t, "exec.sys.chm.push")}
+	measured, err := MeasureOpcodeLatency(vax.LookupName("CHMK"), "base", remap)
 	if err != nil {
-		t.Fatalf("measure: %v", err)
+		t.Fatal(err)
 	}
-	if probs := chmk.Check(measured); len(probs) == 0 {
+	if reflect.DeepEqual(measured, committed) {
 		t.Errorf("compute cycles misattributed to a write-class word went undetected; measured %v", measured)
+	}
+}
+
+// TestLatencyRowAssertion moves a Simple-row word's counts onto a
+// Field-row word: the row assertion must refuse the measurement. This is
+// the case the rowscope analyzer cannot see — a word of another group's
+// row ticked through a helper outside that group's exec file.
+func TestLatencyRowAssertion(t *testing.T) {
+	remap := map[uint16]uint16{wordAddr(t, "exec.simple.alu.entry"): wordAddr(t, "exec.field.work")}
+	_, err := MeasureOpcodeLatency(vax.LookupName("ADDL2"), "base", remap)
+	if err == nil || !strings.Contains(err.Error(), "exec.field.work counted in Table 8 row Field, outside execute row Simple") {
+		t.Errorf("Field-row word counted by ADDL2: got error %v", err)
 	}
 }

@@ -117,65 +117,6 @@ func (c Class) String() string {
 	return fmt.Sprintf("Class(%d)", uint8(c))
 }
 
-// ConstName returns the Go constant name of the row ("RowSimple") — the
-// name-space the vaxlint analyzers prove properties in and the one the
-// committed latency table (internal/latency) carries, so the dynamic
-// cross-check can key measured cycles the same way the static
-// derivation does.
-func (r Row) ConstName() string {
-	switch r {
-	case RowDecode:
-		return "RowDecode"
-	case RowSpec1:
-		return "RowSpec1"
-	case RowSpec26:
-		return "RowSpec26"
-	case RowBDisp:
-		return "RowBDisp"
-	case RowSimple:
-		return "RowSimple"
-	case RowField:
-		return "RowField"
-	case RowFloat:
-		return "RowFloat"
-	case RowCallRet:
-		return "RowCallRet"
-	case RowSystem:
-		return "RowSystem"
-	case RowCharacter:
-		return "RowCharacter"
-	case RowDecimal:
-		return "RowDecimal"
-	case RowIntExcept:
-		return "RowIntExcept"
-	case RowMemMgmt:
-		return "RowMemMgmt"
-	case RowAbort:
-		return "RowAbort"
-	}
-	return fmt.Sprintf("Row(%d)", uint8(r))
-}
-
-// ConstName returns the Go constant name of the class ("ClassCompute");
-// see Row.ConstName.
-func (c Class) ConstName() string {
-	switch c {
-	case ClassCompute:
-		return "ClassCompute"
-	case ClassRead:
-		return "ClassRead"
-	case ClassWrite:
-		return "ClassWrite"
-	case ClassDispatch:
-		return "ClassDispatch"
-	case ClassIBStall:
-		return "ClassIBStall"
-	case ClassMarker:
-		return "ClassMarker"
-	}
-	return fmt.Sprintf("Class(%d)", uint8(c))
-}
-
 // Word is one control-store location.
 type Word struct {
 	Addr  uint16
