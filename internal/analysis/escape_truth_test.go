@@ -136,9 +136,9 @@ func TestEscapeGroundTruth(t *testing.T) {
 // ground truth records that the per-cycle cost the note tolerates does
 // not, with the current compiler, actually exist.
 var knownOverApprox = map[string]string{
-	"internal/cpu/exec.go:114:44": "arith-trap parameter slice: deliverException copies the words into machine state and never leaks the slice, so the backing array stays on the caller's stack",
-	"internal/cpu/exec.go:297:44": "page-fault parameter slice: same deliverException sink as exec.go:114",
-	"internal/cpu/exec.go:302:44": "memory-management-fault parameter slice: same deliverException sink as exec.go:114",
+	"internal/cpu/exec.go:132:44": "arith-trap parameter slice: deliverException copies the words into machine state and never leaks the slice, so the backing array stays on the caller's stack",
+	"internal/cpu/exec.go:307:44": "page-fault parameter slice: same deliverException sink as exec.go:132",
+	"internal/cpu/exec.go:312:44": "memory-management-fault parameter slice: same deliverException sink as exec.go:132",
 }
 
 // escLine matches one compiler escape diagnostic:

@@ -22,6 +22,7 @@ var exempt = map[string]map[string]string{
 	"cpu.Machine": {
 		"cfg":           "travels as Meta.Machine; the resume path rebuilds with cpu.New",
 		"xm":            "derived: functional translation memo, valid only under the live MMU registers and Mem's map generation, which ImportState bumps",
+		"dm":            "derived: decode memo; every hit compares its bytes with memory, so an entry the imported state makes stale is never used",
 		"ops":           "per-instruction decode scratch, rewritten before any use",
 		"nops":          "per-instruction decode scratch",
 		"instr":         "per-instruction decode scratch",

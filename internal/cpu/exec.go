@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"vax780/internal/vax"
 )
@@ -75,7 +76,17 @@ func (m *Machine) StepInstruction() {
 	if !m.ibWait(1, uw.irdStall) {
 		return
 	}
-	opc := m.ib.consume(1)[0]
+	// A decode memo hit knows the instruction's bytes and decode, so no
+	// I-stream byte is read again; a miss decodes byte by byte and, once
+	// every specifier is in, fills the slot.
+	slot, pa, hit := m.dmFind()
+	var opc byte
+	if hit {
+		opc = byte(slot.code[0])
+		m.ib.skip(1)
+	} else {
+		opc = m.ib.consume(1)[0]
+	}
 	if !(m.cfg.DecodeOverlap && !m.lastPCChange) {
 		m.tick(uw.ird)
 	} else {
@@ -93,10 +104,17 @@ func (m *Machine) StepInstruction() {
 	m.lastPCChange = false
 
 	for i, os := range info.Specs {
-		m.runSpecifier(i, os)
+		var d *dspec
+		if hit {
+			d = &slot.spec[i]
+		}
+		m.runSpecifier(i, os, d)
 		if m.halted || m.runErr != nil || m.instAborted {
 			return
 		}
+	}
+	if slot != nil && !hit {
+		m.dmStore(slot, pa)
 	}
 	fn := execTable[info.Code]
 	if fn == nil {
@@ -205,30 +223,22 @@ func (m *Machine) checkInterrupts() {
 		if q.IPL <= cur {
 			break // blocked until IPL drops; preserves request order
 		}
-		m.nextIRQ++
+		// Drop the request, with any delivered ones a snapshot kept, so
+		// the queue holds only pending requests, in order.
+		m.irqs = m.irqs[:copy(m.irqs, m.irqs[m.nextIRQ+1:])]
+		m.nextIRQ = 0
 		m.deliverIRQ(q.IPL, q.Vector)
 		return
 	}
 	// Software interrupt summary register.
 	sisr := m.ipr[IPRSlotSISR]
 	if sisr != 0 {
-		lvl := uint8(31 - leadingZeros32(sisr))
+		lvl := uint8(31 - bits.LeadingZeros32(sisr))
 		if lvl > cur {
 			m.ipr[IPRSlotSISR] &^= 1 << lvl
 			m.deliverIRQ(lvl, uint16(SCBSoftBase+4*int(lvl)))
 		}
 	}
-}
-
-func leadingZeros32(v uint32) int {
-	n := 0
-	for i := 31; i >= 0; i-- {
-		if v&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 32
 }
 
 // deliverIRQ runs the interrupt microcode: save PSL/PC on the kernel

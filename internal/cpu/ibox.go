@@ -154,10 +154,16 @@ func (ib *ibox) peek(n int) []byte {
 // consume removes n bytes from the front of the IB and returns them.
 func (ib *ibox) consume(n int) []byte {
 	b := ib.peek(n)
+	ib.skip(n)
+	return b
+}
+
+// skip removes n buffered bytes from the front of the IB without reading
+// them: a decode memo hit already holds them.
+func (ib *ibox) skip(n int) {
 	ib.ptr += uint32(n)
 	ib.valid -= n
 	ib.stats.BytesConsumed += uint64(n)
-	return b
 }
 
 // consumeFree advances the IB pointer past n bytes without requiring them

@@ -95,7 +95,8 @@ type Machine struct {
 	TLB   *tb.TB
 	MMU   mmu.Registers
 
-	xm xmemo // functional-path translation memo (xmemo.go)
+	xm xmemo  // functional-path translation memo (ebox.go)
+	dm *dmemo // decode memo (dmemo.go); allocated by the first RunCtx
 
 	// Architectural state.
 	R   [16]uint32 // R15 (PC) is shadowed by the IB pointer; see PCVal
@@ -394,13 +395,23 @@ func (m *Machine) Run(maxCycles uint64) RunResult {
 // On cancellation the result's Err is the context's error (the machine
 // itself carries no sticky error and can keep running).
 func (m *Machine) RunCtx(ctx context.Context, maxCycles uint64) RunResult {
+	if m.dm == nil {
+		//vaxlint:allow hotpath -- cold: once per machine, at its first RunCtx; single-stepping harnesses never allocate the memo
+		m.dm = new(dmemo)
+	}
 	start := m.cycle
 	startInst := m.instret
+	// Poll the done channel, not ctx.Err, which takes the context's lock;
+	// it is nil, and never ready, for a context that cannot be cancelled.
+	done := ctx.Done()
 	var ctxErr error
+run:
 	for !m.halted && m.runErr == nil && m.cycle-start < maxCycles {
-		if err := ctx.Err(); err != nil {
-			ctxErr = err
-			break
+		select {
+		case <-done:
+			ctxErr = ctx.Err()
+			break run
+		default:
 		}
 		m.StepInstruction()
 		if m.OnInstruction != nil {

@@ -8,7 +8,7 @@ import (
 
 // operand is a decoded, processed operand latch.
 type operand struct {
-	spec  vax.Specifier
+	spec  dspec
 	acc   vax.AccessType
 	dt    vax.DataType
 	bank  *specBank // bank whose store microwords write the result back
@@ -18,14 +18,45 @@ type operand struct {
 	val   uint64 // operand value for read/modify access
 }
 
+// dspec is a decoded specifier in eight bytes, the form the operand latch
+// and the decode memo share.
+type dspec struct {
+	val   uint32 // literal or displacement, or immediate value or absolute address
+	mode  vax.AddrMode
+	base  vax.Reg
+	index vax.Reg // index register, or noIndex
+	n     uint8   // I-stream bytes, index prefix included; 0 for a wide immediate
+}
+
+// noIndex marks a specifier without an index prefix.
+const noIndex = vax.Reg(0xFF)
+
+// packSpec packs a specifier decoded from n I-stream bytes. It loses
+// nothing for n <= ibSize: an immediate that fits the IB is at most a
+// longword, and an absolute address is one.
+func packSpec(s vax.Specifier, n int) dspec {
+	d := dspec{val: uint32(s.Disp), mode: s.Mode, base: s.Base, index: noIndex, n: uint8(n)}
+	if s.Mode == vax.ModeImmediate || s.Mode == vax.ModeAbsolute {
+		d.val = uint32(s.Imm)
+	}
+	if s.Indexed {
+		d.index = s.Index
+	}
+	return d
+}
+
 // size returns the operand's size in bytes.
 func (o *operand) size() int { return o.dt.Size() }
 
 // runSpecifier decodes and processes operand specifier i of the current
 // instruction. First specifiers dispatch through the SPEC1 bank, all others
 // through SPEC2-6; an indexed specifier always runs in the SPEC2-6 bank
-// (the microcode-sharing artifact §5 of the paper describes).
-func (m *Machine) runSpecifier(i int, os vax.OperandSpec) {
+// (the microcode-sharing artifact §5 of the paper describes). d, when not
+// nil, is the specifier's decode memo entry: one wait for all of its bytes
+// stands for the decoder's waits for one, two and all of them, since
+// nothing between those waits spends a cycle or touches the IB (DESIGN.md
+// §3).
+func (m *Machine) runSpecifier(i int, os vax.OperandSpec, d *dspec) {
 	bank := &uw.spec[0]
 	if i > 0 {
 		bank = &uw.spec[1]
@@ -33,99 +64,71 @@ func (m *Machine) runSpecifier(i int, os vax.OperandSpec) {
 	op := &m.ops[i]
 	*op = operand{acc: os.Access, dt: os.Type}
 
-	// Determine the specifier's I-stream length by peeking at the mode
-	// byte(s); the decode hardware needs the bytes present, so waiting
-	// here is IB stall charged to this bank's stall location.
-	if !m.ibWait(1, bank.stall) {
-		return
-	}
-	prefix := 0
-	b0 := m.ib.peek(1)[0]
-	if b0>>4 == 4 { // index prefix
-		prefix = 1
-		if !m.ibWait(2, bank.stall) {
+	if d != nil {
+		if !m.ibWait(int(d.n), bank.stall) {
 			return
 		}
-		b0 = m.ib.peek(2)[1]
-	}
-	total := prefix + 1 + specExtraBytes(b0, os.Type)
-	if total > ibSize {
-		// An 8-byte immediate (9 I-stream bytes) cannot fit the IB at
-		// once: the hardware consumes it in two dispatch cycles.
-		m.wideImmediate(bank, op, os)
+		op.spec = *d
+		m.ib.skip(int(d.n))
+	} else if !m.decodeSpecifier(bank, op, os) {
 		return
 	}
-	if !m.ibWait(total, bank.stall) {
-		return
-	}
-	spec, n, err := vax.DecodeSpecifier(m.ib.peek(total), os.Type)
-	if err != nil {
-		// A malformed specifier is architecturally a reserved addressing
-		// mode fault, not a simulator stop.
-		m.deliverException(SCBReservedAddr, nil)
-		return
-	}
-	if n != total {
-		m.fail("specifier decode at pc %#x: consumed %d of %d bytes", m.ib.cur(), n, total)
-		return
-	}
-	op.spec = spec
-	if spec.Indexed {
+	spec := op.spec
+	if spec.index != noIndex {
 		bank = &uw.spec[1]
 	}
 	op.bank = bank
 
-	// Consume the specifier bytes: one dispatch cycle at the mode's entry
-	// location (a second for immediates wider than the 4-byte data path).
-	m.ib.consume(total)
-	m.tick(bank.dispatch[spec.Mode])
-	if spec.Mode == vax.ModeImmediate && os.Type.Size() > 4 {
+	// One dispatch cycle at the mode's entry location (a second for
+	// immediates wider than the 4-byte data path).
+	m.tick(bank.dispatch[spec.mode])
+	if spec.mode == vax.ModeImmediate && os.Type.Size() > 4 {
 		m.tick(bank.immExtra)
 	}
 
 	// Mode-specific operand processing.
 	sz := os.Type.Size()
-	switch spec.Mode {
+	switch spec.mode {
 	case vax.ModeLiteral:
-		op.val = expandLiteral(uint8(spec.Disp), os.Type)
+		op.val = expandLiteral(uint8(spec.val), os.Type)
 		return
 	case vax.ModeImmediate:
-		op.val = spec.Imm
+		op.val = uint64(spec.val)
 		return
 	case vax.ModeRegister:
 		op.isReg = true
-		op.reg = spec.Base
+		op.reg = spec.base
 		if os.Access == vax.AccessRead || os.Access == vax.AccessModify {
-			op.val = m.regRead(spec.Base, os.Type)
+			op.val = m.regRead(spec.base, os.Type)
 		}
 		return
 	case vax.ModeRegDeferred:
-		op.addr = m.R[spec.Base]
+		op.addr = m.R[spec.base]
 	case vax.ModeAutoInc:
-		op.addr = m.R[spec.Base]
-		m.R[spec.Base] += uint32(sz)
+		op.addr = m.R[spec.base]
+		m.R[spec.base] += uint32(sz)
 		m.tick(bank.calc)
 	case vax.ModeAutoDec:
-		m.R[spec.Base] -= uint32(sz)
-		op.addr = m.R[spec.Base]
+		m.R[spec.base] -= uint32(sz)
+		op.addr = m.R[spec.base]
 		m.tick(bank.calc)
 	case vax.ModeAutoIncDef:
-		ptr := m.R[spec.Base]
-		m.R[spec.Base] += 4
+		ptr := m.R[spec.base]
+		m.R[spec.base] += 4
 		m.tick(bank.calc)
 		op.addr = uint32(m.dread(bank.readPtr, ptr, 4))
 	case vax.ModeAbsolute:
-		op.addr = uint32(spec.Imm)
+		op.addr = spec.val
 	case vax.ModeByteDisp, vax.ModeWordDisp, vax.ModeLongDisp:
-		op.addr = m.specBase(spec.Base) + uint32(spec.Disp)
+		op.addr = m.specBase(spec.base) + spec.val
 		m.tick(bank.calc)
 	case vax.ModeByteDispDef, vax.ModeWordDispDef, vax.ModeLongDispDef:
-		ptr := m.specBase(spec.Base) + uint32(spec.Disp)
+		ptr := m.specBase(spec.base) + spec.val
 		m.tick(bank.calc)
 		op.addr = uint32(m.dread(bank.readPtr, ptr, 4))
 	}
-	if spec.Indexed {
-		op.addr += uint32(sz) * m.R[spec.Index]
+	if spec.index != noIndex {
+		op.addr += uint32(sz) * m.R[spec.index]
 		m.tick(bank.index)
 	}
 
@@ -142,11 +145,56 @@ func (m *Machine) runSpecifier(i int, os vax.OperandSpec) {
 	}
 }
 
+// decodeSpecifier reads a specifier from the IB into op.spec and consumes
+// its bytes. It determines the specifier's I-stream length by peeking at
+// the mode byte(s); the decode hardware needs the bytes present, so
+// waiting here is IB stall charged to the bank's stall location. It
+// reports false when the operand needs no further processing: the
+// instruction aborted, or a wide immediate was consumed whole.
+func (m *Machine) decodeSpecifier(bank *specBank, op *operand, os vax.OperandSpec) bool {
+	if !m.ibWait(1, bank.stall) {
+		return false
+	}
+	prefix := 0
+	b0 := m.ib.peek(1)[0]
+	if b0>>4 == 4 { // index prefix
+		prefix = 1
+		if !m.ibWait(2, bank.stall) {
+			return false
+		}
+		b0 = m.ib.peek(2)[1]
+	}
+	total := prefix + 1 + specExtraBytes(b0, os.Type)
+	if total > ibSize {
+		// An 8-byte immediate (9 I-stream bytes) cannot fit the IB at
+		// once: the hardware consumes it in two dispatch cycles.
+		m.wideImmediate(bank, op, os)
+		return false
+	}
+	if !m.ibWait(total, bank.stall) {
+		return false
+	}
+	spec, n, err := vax.DecodeSpecifier(m.ib.peek(total), os.Type)
+	if err != nil {
+		// A malformed specifier is architecturally a reserved addressing
+		// mode fault, not a simulator stop.
+		m.deliverException(SCBReservedAddr, nil)
+		return false
+	}
+	if n != total {
+		m.fail("specifier decode at pc %#x: consumed %d of %d bytes", m.ib.cur(), n, total)
+		return false
+	}
+	op.spec = packSpec(spec, total)
+	m.ib.consume(total)
+	return true
+}
+
 // wideImmediate consumes a quadword immediate specifier: mode byte, then
 // two longword helpings from the IB, each with a dispatch cycle.
 func (m *Machine) wideImmediate(bank *specBank, op *operand, os vax.OperandSpec) {
 	op.bank = bank
-	op.spec = vax.Specifier{Mode: vax.ModeImmediate}
+	op.spec = dspec{mode: vax.ModeImmediate, index: noIndex}
 	m.ib.consume(1) // the (PC)+ mode byte
 	m.tick(bank.dispatch[vax.ModeImmediate])
 	// Fold each longword into the value before the next IB interaction:
@@ -169,7 +217,6 @@ func (m *Machine) wideImmediate(bank *specBank, op *operand, os vax.OperandSpec)
 		v |= uint64(hi[i]) << (32 + 8*i)
 	}
 	op.val = v
-	op.spec.Imm = v
 }
 
 // specBase returns the value of a specifier base register; PC reads as the

@@ -30,11 +30,12 @@ func histBytes(t *testing.T, h *core.Histogram) []byte {
 }
 
 // requireIdentical asserts the full determinism contract between an
-// uninterrupted baseline and a checkpoint-resumed run.
+// uninterrupted baseline and a run that must match it: a checkpoint-
+// resumed run, or one with the decode memo bypassed.
 func requireIdentical(t *testing.T, name string, base, resumed *Result) {
 	t.Helper()
 	if !bytes.Equal(histBytes(t, base.Hist), histBytes(t, resumed.Hist)) {
-		t.Errorf("%s: resumed histogram differs from the uninterrupted run", name)
+		t.Errorf("%s: histogram differs from the baseline run", name)
 	}
 	if base.Instructions != resumed.Instructions || base.Cycles != resumed.Cycles {
 		t.Errorf("%s: instructions/cycles diverged: %d/%d vs %d/%d",
@@ -155,7 +156,8 @@ func resumeIdentical(t *testing.T, p Profile, cycles uint64, fcfg *fault.Config)
 
 // TestSnapshotSize: memory travels as its nonzero frames, so every
 // profile's snapshot at 1M cycles encodes to under 1 MB, not the 8 MB of
-// its memory array.
+// its memory array; and the interrupt queue travels without the requests
+// already delivered, which would otherwise grow with the run.
 func TestSnapshotSize(t *testing.T) {
 	const cycles, limit = 1_000_000, 1_000_000
 	for _, p := range All() {
@@ -180,6 +182,10 @@ func TestSnapshotSize(t *testing.T) {
 			if buf.Len() >= limit {
 				t.Errorf("snapshot at cycle %d encodes to %d bytes with %d memory frames, want under %d",
 					cycles, buf.Len(), len(snap.CPU.Mem.Frames), limit)
+			}
+			if n := snap.CPU.NextIRQ; n != 0 {
+				t.Errorf("snapshot at cycle %d holds %d delivered interrupt requests (of %d queued), want none",
+					cycles, n, len(snap.CPU.IRQs))
 			}
 		})
 	}
