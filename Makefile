@@ -1,6 +1,6 @@
 # Developer entry points. `make check` is the full pre-merge gate: build, gofmt,
 # go vet, the repo's own vaxlint static analyzers (cross-table invariant,
-# determinism-contract, and µflow attribution proofs, see DESIGN.md
+# determinism, hot-path and concurrency contracts, see DESIGN.md
 # "Static analysis & invariants"), the test suite
 # under the race detector, the chaos soak (fault injection into a full OS
 # workload, DESIGN.md "Fault model & machine checks"), the crash-
@@ -27,7 +27,7 @@ gofmt:
 vet:
 	$(GO) vet ./...
 
-# All fourteen analyzers, human-readable; vet is its own target above.
+# All eleven analyzers, human-readable; vet is its own target above.
 vaxlint:
 	$(GO) run ./cmd/vaxlint -vet=false ./...
 
@@ -56,11 +56,15 @@ latency:
 
 # Latency oracle gate: measure the table in memory and require both
 # committed files byte for byte (a one-cycle change to any measured cell
-# fails here), with the row assertion, the concurrent-sweep determinism
-# check and the corruption tests; then confront the analysis suite's
-# static registration scan and exec-file rows with the committed table.
+# fails here), with the row assertion, the counter identities on every
+# step, the concurrent-sweep determinism check and the corruption tests;
+# then confront the analysis suite's static registration scan and
+# exec-file rows with the committed table. The attribution tests hold
+# the five profiles' histograms to the machine's own counters on every
+# instruction and require every defined microword to be counted
+# (DESIGN.md §12).
 latency-truth:
-	$(GO) test -run TestLatency ./internal/experiments ./internal/analysis
+	$(GO) test -run 'TestLatency|TestAttribution' ./internal/experiments ./internal/analysis
 
 test:
 	$(GO) test ./...
@@ -104,7 +108,7 @@ bench:
 	$(GO) run ./cmd/vaxbench -out BENCH_step.json
 	$(GO) run ./cmd/vaxbench -farm -chaos "1@3" -out BENCH_farm.json
 
-# Analyzer-suite cost: one module load, then each of the fourteen
+# Analyzer-suite cost: one module load, then each of the eleven
 # vaxlint analyzers timed over the whole tree with its findings count,
 # appended to the committed BENCH_lint.json ledger — the suite is big
 # enough that its own cost needs a trajectory.

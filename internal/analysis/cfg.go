@@ -6,20 +6,20 @@ import (
 )
 
 // Intraprocedural control-flow graphs over go/ast, the substrate of the
-// µflow dataflow engine (dataflow.go). One CFG per function body; blocks
+// concflow analyzers' path questions and of hotpath's dead-statement
+// pruning (hotset.go). One CFG per function body; blocks
 // hold statements in execution order and successor edges cover the
 // structured control flow Go has: if/else, for/range (including break,
 // continue, labels), switch (with fallthrough), type switch, select,
 // goto, and return. Deferred statements are modeled by appending them, in
 // reverse registration order, to the function's single exit block — that
-// is where they run, and it keeps handle flows inside deferred calls
-// visible to the fixed point without simulating the defer stack.
+// is where they run, and it keeps what deferred calls do visible to a
+// path walk without simulating the defer stack.
 //
 // Panic edges are not modeled: a statement that panics leaves the
 // function abruptly, so treating execution as falling through to the
-// next statement only ever *adds* paths. For the forward may-analysis
-// built on top (which unions over paths) that is a sound
-// over-approximation.
+// next statement only ever *adds* paths. For a may-question (does some
+// path reach X?) that is a sound over-approximation.
 
 // Block is one basic block: a maximal straight-line statement sequence.
 type Block struct {
@@ -88,9 +88,8 @@ func (b *cfgBuilder) jumpTo(dst *Block) {
 func (b *cfgBuilder) startBlock(dst *Block) { b.cur = dst }
 
 // emit appends a statement to the current block, reviving dead flow into
-// a fresh unreachable block so syntactically-dead code is still scanned
-// (its env stays bottom, so it cannot create flow findings, but direct
-// handle references in it still count for uwdead).
+// a fresh unreachable block so syntactically-dead code is still scanned;
+// no edge reaches that block, which is how deadStmts finds it.
 func (b *cfgBuilder) emit(s ast.Stmt) {
 	if b.cur == nil {
 		b.cur = b.newBlock()

@@ -12,9 +12,23 @@ import (
 	"vax780/internal/ucode"
 )
 
+// execFileRows maps the per-opcode-group exec files of internal/cpu to
+// the Row constant of the opcodes they register. exec.go itself (decode,
+// branch plumbing, exceptions) is shared machinery and deliberately
+// absent.
+var execFileRows = map[string]string{
+	"exec_simple.go":  "RowSimple",
+	"exec_field.go":   "RowField",
+	"exec_float.go":   "RowFloat",
+	"exec_callret.go": "RowCallRet",
+	"exec_system.go":  "RowSystem",
+	"exec_string.go":  "RowCharacter",
+	"exec_decimal.go": "RowDecimal",
+}
+
 // TestLatencyTruth confronts the suite's static model of the execute
 // microroutines with the committed, measured latency table. exectable
-// resolves every register() call statically and rowscope gives each
+// resolves every register() call statically and execFileRows gives each
 // exec_<group>.go file its Table 8 row; the sweep behind latency.json
 // single-steps what really registered and records where its cycles fell.
 // The test requires:
@@ -23,7 +37,7 @@ import (
 //     be the same set, so a register() form the scanner mis-resolves, or
 //     a table that lags the code, fails;
 //   - each opcode's table row to be the row of the exec file that
-//     registers it, the attribution rowscope checks words against;
+//     registers it;
 //   - each opcode's base cells to hold cycles in that row.
 //
 // Byte equality of the committed files with a fresh measurement is

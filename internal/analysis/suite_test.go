@@ -34,18 +34,6 @@ func TestExhaustive(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Exhaustive, "exhaustive")
 }
 
-func TestUWFlow(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.UWFlow, "uwflow")
-}
-
-func TestUWDead(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.UWDead, "uwdead")
-}
-
-func TestRowScope(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.RowScope, "rowscope")
-}
-
 func TestHotPath(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.HotPath, "hotpath")
 }
@@ -94,34 +82,8 @@ func TestConcClean(t *testing.T) {
 // TestSuiteSize pins the suite's advertised size: growing it without
 // updating the docs (README, Makefile) should fail loudly here.
 func TestSuiteSize(t *testing.T) {
-	if got := len(analysis.All()); got != 14 {
-		t.Fatalf("analysis.All() reports %d analyzers, want 14", got)
-	}
-}
-
-// TestUWValue exercises the type-based callee approximation: class
-// violations whose words only reach the count sites through a handler
-// table of a named function type, landing inside the registered function
-// and the registered closure.
-func TestUWValue(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.UWFlow, "uwvalue")
-}
-
-// TestUWValueClean proves the dynamic-dispatch machinery does not invent
-// findings (uwflow silent on a clean table) and that uwdead sees words
-// counted only through function values.
-func TestUWValueClean(t *testing.T) {
-	for _, a := range []*analysis.Analyzer{analysis.UWFlow, analysis.UWDead} {
-		analysistest.Run(t, "testdata", a, "uwvalueclean")
-	}
-}
-
-// TestUWClean proves the three µflow analyzers stay silent on a fixture
-// that counts every class on its proper channel, reaches every word, and
-// keeps each exec file inside its row.
-func TestUWClean(t *testing.T) {
-	for _, a := range []*analysis.Analyzer{analysis.UWFlow, analysis.UWDead, analysis.RowScope} {
-		analysistest.Run(t, "testdata", a, "uwclean")
+	if got := len(analysis.All()); got != 11 {
+		t.Fatalf("analysis.All() reports %d analyzers, want 11", got)
 	}
 }
 

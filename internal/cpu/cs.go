@@ -32,12 +32,24 @@ func def(name string, row ucode.Row, class ucode.Class) uint16 {
 	return CS.Define(name, row, class)
 }
 
+// ibStallWord is the handle of a dedicated IB-stall location (§4.3): the
+// word the I-Decode dispatches to while the IB holds too few bytes. It is
+// a type of its own so that only ibWait counts it, and ibWait counts
+// nothing else: tick does not take one and ibWait takes nothing but one.
+type ibStallWord uint16
+
+// defIBStall defines an IB-stall location; it is the only maker of an
+// ibStallWord.
+func defIBStall(name string, row ucode.Row) ibStallWord {
+	return ibStallWord(def(name, row, ucode.ClassIBStall))
+}
+
 // specBank is the set of specifier-processing microwords for one dispatch
 // bank. Bank 0 handles first specifiers (SPEC1), bank 1 all others
 // (SPEC2-6). Mode-entry dispatch counts are the source of Table 4.
 type specBank struct {
 	dispatch   [vax.NumAddrModes]uint16
-	stall      uint16
+	stall      ibStallWord
 	immExtra   uint16 // second take cycle for 8-byte immediates
 	calc       uint16 // effective-address add / autoincrement bump
 	index      uint16 // index-register scaling (lives in SPEC2-6 only)
@@ -55,7 +67,7 @@ func defSpecBank(prefix string, row ucode.Row) specBank {
 	for mode := 0; mode < vax.NumAddrModes; mode++ {
 		b.dispatch[mode] = def(fmt.Sprintf("%s.disp.%s", prefix, vax.AddrMode(mode)), row, ucode.ClassDispatch)
 	}
-	b.stall = def(prefix+".stall", row, ucode.ClassIBStall)
+	b.stall = defIBStall(prefix+".stall", row)
 	b.immExtra = def(prefix+".imm.extra", row, ucode.ClassDispatch)
 	b.calc = def(prefix+".calc", row, ucode.ClassCompute)
 	b.index = def(prefix+".index", row, ucode.ClassCompute)
@@ -74,14 +86,14 @@ var uw = struct {
 	// Decode.
 	ird       uint16
 	irdFolded uint16
-	irdStall  uint16
+	irdStall  ibStallWord
 
 	// Specifier banks: [0] = SPEC1, [1] = SPEC2-6.
 	spec [2]specBank
 
 	// Branch displacement.
 	bdisp      uint16
-	bdispStall uint16
+	bdispStall ibStallWord
 
 	// Microtrap.
 	abort uint16
@@ -218,7 +230,7 @@ var uw = struct {
 }{
 	ird:       def("decode.ird", ucode.RowDecode, ucode.ClassDispatch),
 	irdFolded: def("decode.ird.folded", ucode.RowDecode, ucode.ClassMarker),
-	irdStall:  def("decode.ird.stall", ucode.RowDecode, ucode.ClassIBStall),
+	irdStall:  defIBStall("decode.ird.stall", ucode.RowDecode),
 
 	spec: [2]specBank{
 		defSpecBank("spec1", ucode.RowSpec1),
@@ -226,7 +238,7 @@ var uw = struct {
 	},
 
 	bdisp:      def("bdisp.calc", ucode.RowBDisp, ucode.ClassDispatch),
-	bdispStall: def("bdisp.stall", ucode.RowBDisp, ucode.ClassIBStall),
+	bdispStall: defIBStall("bdisp.stall", ucode.RowBDisp),
 
 	abort: def("abort.utrap", ucode.RowAbort, ucode.ClassCompute),
 

@@ -311,14 +311,14 @@ func (m *Machine) tbMissService(va uint32, st tb.Stream) {
 // ---------------------------------------------------------------------------
 // Instruction-buffer interaction: each take is a dispatch microinstruction
 // that needs n bytes; waiting for bytes burns cycles at the dedicated
-// IB-stall location stallW.
+// IB-stall location stallW, one execution of it per cycle (§4.3).
 
 // ibWait blocks until the IB holds n bytes, servicing I-stream TB misses,
 // and reports whether it got them. It reports false as soon as the
 // instruction is aborted: a miss that ends in a fault has redirected the
 // IB to the handler, whose bytes are not this instruction's, so the
 // caller must consume nothing and spend no further cycles.
-func (m *Machine) ibWait(n int, stallW uint16) bool {
+func (m *Machine) ibWait(n int, stallW ibStallWord) bool {
 	const guard = 1 << 20
 	for i := 0; ; i++ {
 		if m.aborted() {
@@ -332,7 +332,7 @@ func (m *Machine) ibWait(n int, stallW uint16) bool {
 			m.tbMissService(m.ib.tbMissVA, tb.IStream)
 			continue
 		}
-		m.ibStallTick(stallW)
+		m.tick(uint16(stallW))
 		if i > guard {
 			m.fail("IB wait for %d bytes did not complete at pc %#x", n, m.ib.ptr)
 			return false
@@ -344,7 +344,7 @@ func (m *Machine) ibWait(n int, stallW uint16) bool {
 // (no additional cycle, but the wait can still IB-stall). The result
 // aliases the IB scratch buffer (see ibox.peek); it is nil if the
 // instruction aborted while waiting.
-func (m *Machine) takeExtra(stallW uint16, n int) []byte {
+func (m *Machine) takeExtra(stallW ibStallWord, n int) []byte {
 	if !m.ibWait(n, stallW) {
 		return nil
 	}

@@ -49,8 +49,9 @@ func fpBinary(cost int, f func(a, b float64) float64, dst int) execFn {
 func (m *Machine) fpStore(dst int, bits uint64) {
 	op := &m.ops[dst]
 	if !op.isReg && op.size() == 8 {
-		// First longword through the specifier store, second here.
-		//vaxlint:allow rowscope -- the first longword of a D-float memory store deliberately rides the destination specifier's bank write word (Spec-row traffic), not a Float-row word; only the second longword is Float-row execute-phase writing
+		// First longword through the destination specifier's bank write
+		// word (Spec-row traffic), second here: only the second longword
+		// is Float-row execute-phase writing.
 		m.dwrite(op.bank.writeData, op.addr, 4, bits)
 		m.dwrite(uw.fpWrite, op.addr+4, 4, bits>>32)
 		return

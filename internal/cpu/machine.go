@@ -290,19 +290,6 @@ func (m *Machine) stall(w uint16, n uint64) {
 	}
 }
 
-// ibStallTick burns one cycle waiting for IB bytes, counted as an
-// execution of the dedicated stall location w (§4.3).
-func (m *Machine) ibStallTick(w uint16) {
-	m.upc = w
-	if m.probe != nil && m.gate {
-		m.probe.Count(w, 1)
-	}
-	m.cycle++
-	if m.wdLimit != 0 && m.cycle-m.wdLastRetire > m.wdLimit {
-		m.watchdogExpire()
-	}
-}
-
 // SetWatchdog arms the progress watchdog: if the machine executes cycles
 // cycles without retiring a single instruction — a wedged µPC loop, an
 // interrupt storm, a microcode spin — it stops with a *MachineError

@@ -6,7 +6,8 @@
 // manner of uops.info's measured per-instruction tables. cmd/vaxlat
 // commits the result as latency.json and LATENCY.md, and
 // TestLatencyOracle requires a fresh sweep to reproduce both files byte
-// for byte.
+// for byte. Every step must also keep the histogram equal to the
+// machine's own counters (attribution.go).
 //
 // Directed conditions: physical addressing (no TB-miss service), aligned
 // operand addresses, no pending interrupts, patch cycles disabled.
@@ -100,16 +101,21 @@ var latVariants = [...]latVariant{
 	{name: "calls", calls: true},
 }
 
-// latProbe is the measurement histogram: exec-channel counts only.
-// Stall cycles are timing, not attribution. Counts live in a dense table
-// — Count runs once per machine cycle, inside the hot path the hotpath
-// analyzer prices.
+// latProbe is the measurement histogram: exec-channel counts, in a dense
+// table — Count runs once per machine cycle, inside the hot path the
+// hotpath analyzer prices. Stall cycles are timing, not attribution, so
+// no cell holds them; the ledger takes them for the counter identities.
 type latProbe struct {
 	counts [ucode.StoreSize]uint64
+	ledger classLedger
 }
 
-func (p *latProbe) Count(upc uint16, n uint64) { p.counts[upc] += n }
-func (p *latProbe) Stall(upc uint16, n uint64) {}
+func (p *latProbe) Count(upc uint16, n uint64) {
+	p.counts[upc] += n
+	p.ledger.count(upc, n)
+}
+
+func (p *latProbe) Stall(upc uint16, n uint64) { p.ledger.stall(upc, n) }
 
 // Fixed physical layout of the measurement machine. Everything lives in
 // the first megabyte and every structure is longword-aligned.
@@ -316,18 +322,37 @@ func readLiteral(info *vax.OpInfo, i int, v latVariant) int32 {
 	return 1
 }
 
-// stepOnce single-steps the instruction in buf on a fresh measurement
-// machine, prepared by prep, and reduces its counts into cells.
-func stepOnce(buf []byte, prep func(*cpu.Machine), remap map[uint16]uint16, exec ucode.Row) (Cells, error) {
+// stepLat single-steps the instruction in buf on a fresh measurement
+// machine, prepared by prep, and returns its probe. A step whose counts
+// break a counter identity (attribution.go) is an error.
+func stepLat(buf []byte, prep func(*cpu.Machine)) (*latProbe, error) {
 	m, p := newLatMachine()
 	prep(m)
 	m.Mem.Load(latCode, buf)
 	m.SetPC(latCode)
+	before := readCounters(m)
 	m.StepInstruction()
 	if err := m.Err(); err != nil {
 		return nil, err
 	}
-	return reduceCells(p, remap, exec)
+	if err := p.ledger.reconcile(before, readCounters(m)); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// stepOpcode single-steps one directed instance of the opcode under
+// variant v.
+func stepOpcode(info *vax.OpInfo, v latVariant) (*latProbe, error) {
+	buf, err := encodeFor(info, v)
+	if err != nil {
+		return nil, err
+	}
+	p, err := stepLat(buf, func(m *cpu.Machine) { prepMachine(m, info, v) })
+	if err != nil {
+		return nil, fmt.Errorf("%s (%s): %w", info.Name, v.name, err)
+	}
+	return p, nil
 }
 
 // MeasureOpcodeLatency single-steps one directed instance of the opcode
@@ -345,15 +370,11 @@ func MeasureOpcodeLatency(info *vax.OpInfo, variant string, remap map[uint16]uin
 	if !ok {
 		return nil, fmt.Errorf("%s: group %v has no Table 8 execute row", info.Name, info.Group)
 	}
-	buf, err := encodeFor(info, v)
+	p, err := stepOpcode(info, v)
 	if err != nil {
 		return nil, err
 	}
-	cells, err := stepOnce(buf, func(m *cpu.Machine) { prepMachine(m, info, v) }, remap, exec)
-	if err != nil {
-		return nil, fmt.Errorf("%s (%s): %w", info.Name, variant, err)
-	}
-	return cells, nil
+	return reduceCells(p, remap, exec)
 }
 
 // reduceCells folds the probe's counts into Table 8 cells, requiring each
@@ -399,16 +420,25 @@ func checkRow(w ucode.Word, exec ucode.Row) error {
 // mode, the minimal carrier — its execute phase is a single Simple-row
 // word.
 func MeasureModeLatency(mode vax.AddrMode) (Cells, error) {
+	p, err := stepMode(mode)
+	if err != nil {
+		return nil, err
+	}
+	return reduceCells(p, nil, ucode.RowSimple)
+}
+
+// stepMode single-steps the directed TSTL through one addressing mode.
+func stepMode(mode vax.AddrMode) (*latProbe, error) {
 	s, setup := modeSpecifier(mode)
 	buf, err := vax.EncodeSpecifier([]byte{byte(vax.TSTL)}, s, vax.TypeLong)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", mode, err)
 	}
-	cells, err := stepOnce(buf, setup, nil, ucode.RowSimple)
+	p, err := stepLat(buf, setup)
 	if err != nil {
 		return nil, fmt.Errorf("TSTL %s: %w", mode, err)
 	}
-	return cells, nil
+	return p, nil
 }
 
 // modeSpecifier builds the directed TSTL specifier for one mode, plus any

@@ -144,9 +144,8 @@ func TestLatencyMisattributionCaught(t *testing.T) {
 }
 
 // TestLatencyRowAssertion moves a Simple-row word's counts onto a
-// Field-row word: the row assertion must refuse the measurement. This is
-// the case the rowscope analyzer cannot see — a word of another group's
-// row ticked through a helper outside that group's exec file.
+// Field-row word: the row assertion must refuse the measurement, wherever
+// the tick is — in the group's own exec file or in a shared helper.
 func TestLatencyRowAssertion(t *testing.T) {
 	remap := map[uint16]uint16{wordAddr(t, "exec.simple.alu.entry"): wordAddr(t, "exec.field.work")}
 	_, err := MeasureOpcodeLatency(vax.LookupName("ADDL2"), "base", remap)

@@ -217,7 +217,8 @@ func ParseSpec(spec string) (Config, error) {
 		if err != nil {
 			return cfg, fmt.Errorf("fault: bad rate %q for %s: %w", v, k, err)
 		}
-		if rate < 0 || rate > 1 {
+		// Written so that NaN, which compares false with everything, fails.
+		if !(rate >= 0 && rate <= 1) {
 			return cfg, fmt.Errorf("fault: rate %v for %s outside [0,1]", rate, k)
 		}
 		cfg.Sched[pt].Rate = rate

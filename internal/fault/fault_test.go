@@ -148,7 +148,7 @@ func TestParseSpec(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"", "mem", "bogus=1", "mem=2", "mem=-1", "mem=xyz", "seed=no", "mem=1/0",
+		"", "mem", "bogus=1", "mem=2", "mem=-1", "mem=xyz", "seed=no", "mem=1/0", "mem=NaN",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
