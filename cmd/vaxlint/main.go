@@ -4,18 +4,14 @@
 // of the measurement core (no wall clock, no global rand, no map
 // iteration reachable from the simulation loop, serializers or
 // checkpoint paths), typed boundary errors, and exhaustive enum switches
-// — plus the hot-path performance contract (hotpath), and
-// the concflow concurrency contracts over the farm: every spawned
-// goroutine has a guaranteed exit path (goleak), every channel exactly
-// one closing owner with no send reachable after the close (chanprot),
-// every blocking op in context-carrying code cancellation-guarded
-// (ctxflow), and worker-owned state untouched outside its goroutine
-// until the merge barrier (onewriter). Cycle attribution is not proved
-// here: it is checked at run time against the machine's own counters
-// (DESIGN.md §12). vaxlint is a multichecker-style
-// driver for the analyzers in internal/analysis and is part of the
-// tier-1 verify (Makefile `check`); the suite runs with one goroutine
-// per analyzer, findings merged into one deterministic position order.
+// — plus the hot-path performance contract (hotpath). Two contracts are
+// not proved here but checked at run time: cycle attribution against the
+// machine's own counters (DESIGN.md §12), and the farm's concurrency by
+// its tests under the race detector (DESIGN.md §14). vaxlint is a
+// multichecker-style driver for the analyzers in internal/analysis and
+// is part of the tier-1 verify (Makefile `check`); the suite runs with
+// one goroutine per analyzer, findings merged into one deterministic
+// position order.
 //
 // Usage:
 //

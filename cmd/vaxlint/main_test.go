@@ -14,20 +14,20 @@ import (
 func TestSelectAnalyzers(t *testing.T) {
 	all := analysis.All()
 
-	got, err := selectAnalyzers("goleak, ctxflow", all)
+	got, err := selectAnalyzers("hotpath, determinism", all)
 	if err != nil {
 		t.Fatalf("valid spec errored: %v", err)
 	}
-	if len(got) != 2 || got[0].Name != "goleak" || got[1].Name != "ctxflow" {
-		t.Fatalf("selectAnalyzers picked %v, want [goleak ctxflow]", got)
+	if len(got) != 2 || got[0].Name != "hotpath" || got[1].Name != "determinism" {
+		t.Fatalf("selectAnalyzers picked %v, want [hotpath determinism]", got)
 	}
 
-	_, err = selectAnalyzers("gloeak", all)
+	_, err = selectAnalyzers("hotpaht", all)
 	if err == nil {
 		t.Fatal("unknown analyzer name did not error")
 	}
 	msg := err.Error()
-	if !strings.Contains(msg, `unknown analyzer "gloeak"`) {
+	if !strings.Contains(msg, `unknown analyzer "hotpaht"`) {
 		t.Errorf("error %q does not name the bad analyzer", msg)
 	}
 	for _, a := range all {

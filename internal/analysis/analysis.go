@@ -209,16 +209,15 @@ func runOne(a *Analyzer, pkgs []*Package, sharedFset *token.FileSet, allows allo
 
 // All is the vaxlint suite in reporting order: the three cross-table
 // analyzers from the original suite, the three determinism-contract
-// analyzers built on the fact layer, the hot-path perf-contract analyzer
-// built on the callgraph's function-value and interface approximations
-// (hotset.go), and the four concflow concurrency-contract analyzers built
-// on the CFG (cfg.go) and the goroutine/channel model (concmodel.go).
+// analyzers built on the fact layer, and the hot-path perf-contract
+// analyzer built on the callgraph's function-value and interface
+// approximations (hotset.go). The farm's concurrency is held by its
+// runtime tests under the race detector, not by an analyzer.
 func All() []*Analyzer {
 	return []*Analyzer{
 		ExecTable, PaperConst, ProbeSafe,
 		Determinism, TypedErr, Exhaustive,
 		HotPath,
-		GoLeak, ChanProt, CtxFlow, OneWriter,
 	}
 }
 

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -41,11 +40,7 @@ func TestEscapeGroundTruth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out to go build -gcflags=-m")
 	}
-	root := moduleRootDir(t)
-	pkgs, err := LoadModule(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
+	root, pkgs := loadModule(t)
 	var diags []Diagnostic
 	pass := &Pass{Analyzer: HotPath, Fset: pkgs[0].Fset, All: pkgs, diags: &diags, allows: buildAllowIndex(pkgs)}
 	hs := buildHotSet(pass)
@@ -172,25 +167,6 @@ func compilerEscapes(t *testing.T, root string, pkgs []string) map[string]bool {
 		t.Fatalf("go build -gcflags=-m over %v produced no escape diagnostics; the -m output format has changed", pkgs)
 	}
 	return truth
-}
-
-// moduleRootDir walks up from the test's working directory to go.mod.
-func moduleRootDir(t *testing.T) string {
-	t.Helper()
-	dir, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("no go.mod above the test directory")
-		}
-		dir = parent
-	}
 }
 
 // relTo renders filename relative to root when it lives under it, matching

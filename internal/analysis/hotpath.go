@@ -6,12 +6,12 @@ import (
 	"go/types"
 )
 
-// HotPath proves the per-cycle cost contract of the measurement loop: on
-// every path the CFG proves reachable from Machine.Step*/Run/RunCtx,
-// nothing may allocate, box into an interface, format through fmt, or
-// touch a map. The paper's method divides wall-clock by cycles; a single
-// make() in the specifier decode path turns every measurement into a
-// benchmark of the Go allocator instead of the machine model, and a map
+// HotPath proves the per-cycle cost contract of the measurement loop: in
+// every function reachable from Machine.Step*/Run/RunCtx, nothing may
+// allocate, box into an interface, format through fmt, or touch a map.
+// The paper's method divides wall-clock by cycles; a single make() in the
+// specifier decode path turns every measurement into a benchmark of the
+// Go allocator instead of the machine model, and a map
 // lookup in the opcode dispatch puts Go's hash probe inside every
 // "microcycle" while the histogram keeps claiming the cycle went to the
 // VAX — both silently, because the histogram stays self-consistent. The

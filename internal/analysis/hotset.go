@@ -25,10 +25,9 @@ import (
 // as cold sites: the scan does not descend into their argument lists, so
 // a %v passed to the cold fail() helper is not a hot boxing finding.
 //
-// Within a body, statements the CFG proves unreachable from the entry
-// block are skipped (code after return/goto, after-blocks of `for {}`);
-// everything else counts as "reachable per cycle". Panic edges are not
-// modeled, matching cfg.go.
+// Every statement of a hot body counts as reachable per cycle. Code after
+// return, goto, break, continue, `for {}` or `select {}` is left to go
+// vet's unreachable check, which the gates already run.
 
 // hotNode is one function body in the hot set.
 type hotNode struct {
@@ -36,8 +35,7 @@ type hotNode struct {
 	lit   *ast.FuncLit // nil for a declared function
 	pkg   *Package
 	body  *ast.BlockStmt
-	chain string            // "Machine.StepInstruction → runSpecifier → peek"
-	dead  map[ast.Stmt]bool // statements in CFG-unreachable blocks
+	chain string // "Machine.StepInstruction → runSpecifier → peek"
 }
 
 // hotDecl locates a function declaration with a body.
@@ -164,7 +162,6 @@ func buildHotSet(pass *Pass) *hotSet {
 		n := queue[0]
 		queue = queue[1:]
 		hs.nodes = append(hs.nodes, n)
-		n.dead = deadStmts(BuildCFG(n.body))
 		hs.scanHot(n, func(stack []ast.Node, node ast.Node) bool {
 			switch x := node.(type) {
 			case *ast.FuncLit:
@@ -196,20 +193,16 @@ func buildHotSet(pass *Pass) *hotSet {
 	return hs
 }
 
-// scanHot walks the live part of a node's body. Statements in
-// CFG-unreachable blocks are skipped; nested function literals are
-// visited once but not entered (they are nodes of their own); calls whose
-// static callee is a pruned cold function are skipped entirely, argument
-// lists included. visit returns whether to descend into the node.
+// scanHot walks a node's body. Nested function literals are visited once
+// but not entered (they are nodes of their own); calls whose static
+// callee is a pruned cold function are skipped entirely, argument lists
+// included. visit returns whether to descend into the node.
 func (hs *hotSet) scanHot(n *hotNode, visit func(stack []ast.Node, node ast.Node) bool) {
 	var stack []ast.Node
 	for _, root := range n.body.List {
 		ast.Inspect(root, func(node ast.Node) bool {
 			if node == nil {
 				stack = stack[:len(stack)-1]
-				return false
-			}
-			if s, ok := node.(ast.Stmt); ok && n.dead[s] {
 				return false
 			}
 			if call, ok := node.(*ast.CallExpr); ok {
@@ -228,39 +221,4 @@ func (hs *hotSet) scanHot(n *hotNode, visit func(stack []ast.Node, node ast.Node
 			return true
 		})
 	}
-}
-
-// deadStmts collects the statements of blocks the CFG cannot reach from
-// the entry block: code after return/goto, after-blocks of `for {}`. The
-// emit() revive in cfg.go parks exactly these in fresh predecessor-less
-// blocks, so unreachability from Blocks[0] identifies them. Synthesized
-// condition wrappers are fresh nodes that never appear in the source
-// tree; carrying them in the map is harmless.
-func deadStmts(cfg *CFG) map[ast.Stmt]bool {
-	reach := make([]bool, len(cfg.Blocks))
-	reach[0] = true
-	work := []*Block{cfg.Blocks[0]}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, s := range blk.Succs {
-			if !reach[s.Index] {
-				reach[s.Index] = true
-				work = append(work, s)
-			}
-		}
-	}
-	var dead map[ast.Stmt]bool
-	for _, blk := range cfg.Blocks {
-		if reach[blk.Index] {
-			continue
-		}
-		for _, s := range blk.Stmts {
-			if dead == nil {
-				dead = make(map[ast.Stmt]bool)
-			}
-			dead[s] = true
-		}
-	}
-	return dead
 }

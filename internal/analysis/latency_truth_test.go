@@ -46,11 +46,7 @@ func TestLatencyTruth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module")
 	}
-	root := moduleRootDir(t)
-	pkgs, err := LoadModule(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
+	root, pkgs := loadModule(t)
 	rows := rowStrings(t, pkgs)
 
 	var diags []Diagnostic

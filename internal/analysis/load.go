@@ -156,21 +156,6 @@ func (c *chainImporter) Import(path string) (*types.Package, error) {
 	return c.std.Import(path)
 }
 
-// LoadTestdataPackage loads the package rooted at srcRoot/pkgPath for the
-// analysistest harness, returning just the named package.
-func LoadTestdataPackage(srcRoot, pkgPath string) (*Package, error) {
-	pkgs, err := LoadTestdataPackages(srcRoot, pkgPath)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range pkgs {
-		if p.Path == pkgPath {
-			return p, nil
-		}
-	}
-	return nil, fmt.Errorf("analysistest: package %s not found after load", pkgPath)
-}
-
 // LoadTestdataPackages loads the package rooted at srcRoot/pkgPath and
 // every local package it (transitively) imports, returning all of them
 // in dependency order — the same order the engine runs passes in, so

@@ -51,39 +51,11 @@ func TestHotClean(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.HotPath, "hotclean")
 }
 
-func TestGoLeak(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.GoLeak, "goleak")
-}
-
-func TestChanProt(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.ChanProt, "chanprot")
-}
-
-func TestCtxFlow(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.CtxFlow, "ctxflow")
-}
-
-func TestOneWriter(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.OneWriter, "onewriter")
-}
-
-// TestConcClean proves all four concflow analyzers stay silent on a
-// miniature farm that honors every contract: the worker exits when the
-// jobs channel closes, the channel has one closing owner, and the merge
-// happens across the Wait barrier.
-func TestConcClean(t *testing.T) {
-	for _, a := range []*analysis.Analyzer{
-		analysis.GoLeak, analysis.ChanProt, analysis.CtxFlow, analysis.OneWriter,
-	} {
-		analysistest.Run(t, "testdata", a, "concclean")
-	}
-}
-
 // TestSuiteSize pins the suite's advertised size: growing it without
 // updating the docs (README, Makefile) should fail loudly here.
 func TestSuiteSize(t *testing.T) {
-	if got := len(analysis.All()); got != 11 {
-		t.Fatalf("analysis.All() reports %d analyzers, want 11", got)
+	if got := len(analysis.All()); got != 7 {
+		t.Fatalf("analysis.All() reports %d analyzers, want 7", got)
 	}
 }
 

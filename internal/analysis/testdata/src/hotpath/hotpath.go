@@ -4,8 +4,8 @@
 // composite literals — in declared functions, in handlers reached through
 // a table of a named function type, and in an interface implementation.
 // It also exercises the shapes the analyzer must stay silent on: value
-// copies, range-operand slice literals, pruned cold slices (declaration
-// and line allows), and statements the CFG proves unreachable.
+// copies, range-operand slice literals and pruned cold slices
+// (declaration and line allows).
 package hotpath
 
 type Machine struct {
@@ -75,11 +75,6 @@ func (m *Machine) Step() {
 	m.buf = append(m.buf, byte(m.cycle))
 
 	m.cold()
-	if false {
-		return
-	}
-	return
-	m.dead() // unreachable: the CFG-dead tail is not scanned
 }
 
 func (m *Machine) helper() {
@@ -92,12 +87,5 @@ func (m *Machine) helper() {
 //vaxlint:allow hotpath -- cold: assembles the terminal error report once, after the machine stops
 func (m *Machine) cold() {
 	b := make([]byte, 64)
-	_ = b
-}
-
-// dead is reached only from an unreachable statement, so it never joins
-// the hot set.
-func (m *Machine) dead() {
-	b := make([]byte, 128)
 	_ = b
 }

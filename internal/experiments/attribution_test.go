@@ -140,7 +140,9 @@ func TestAttributionProfiles(t *testing.T) {
 
 // TestAttributionIdentityCaught proves the identities have teeth on the
 // sweep: one extra count of a read-class word, with no reference behind
-// it, and a stall charged to a compute-class word must each be refused.
+// it, a stall charged to a compute-class word and a read word's stall
+// that comes after its tick, with no count following, must each be
+// refused.
 func TestAttributionIdentityCaught(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -149,6 +151,7 @@ func TestAttributionIdentityCaught(t *testing.T) {
 	}{
 		{"read without reference", func(p *latProbe) { p.Count(wordAddr(t, "spec1.read.data"), 1) }, "read-class words counted"},
 		{"stall on compute", func(p *latProbe) { p.Stall(wordAddr(t, "exec.simple.alu.entry"), 1) }, "stall cycles at exec.simple.alu.entry"},
+		{"stall after tick", func(p *latProbe) { p.Stall(wordAddr(t, "spec1.read.data"), 1) }, "stall at spec1.read.data not followed by its count"},
 	} {
 		m, p := newLatMachine()
 		m.Mem.Load(latCode, []byte{byte(vax.ADDL2), 0x01, 0x52}) // ADDL2 S^#1, R2

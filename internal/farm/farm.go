@@ -335,9 +335,11 @@ func (f *Farm) Run(ctx context.Context) (*Result, error) {
 		delayed     []delayedRetry
 		paused      bool
 		pauseCause  error
-		// One reusable retry timer for the whole loop: a time.After per
-		// iteration would strand a live timer every pass until it fired
-		// (the goleak analyzer's stranded-timer rule).
+		// One reusable retry timer for the whole loop. go.mod says go 1.22,
+		// so timers keep their pre-1.23 semantics: a fired timer's tick
+		// stays buffered in C, a stale tick for the next pass unless the
+		// Stop-and-drain below reads it, and a time.After per pass would
+		// hold a live timer until it fired.
 		retryTimer *time.Timer
 	)
 	shed := func(inst *instance, cause string, cycle uint64) {
@@ -480,7 +482,9 @@ func (f *Farm) Run(ctx context.Context) (*Result, error) {
 		retryTimer.Stop()
 	}
 	close(dispatch)
-	//vaxlint:allow ctxflow -- bounded: dispatch just closed above, so every worker falls out of its range loop after at most one in-flight attempt, and attempts themselves are ctx-supervised via workload.RunSupervised.
+	// Bounded: dispatch just closed above, so every worker falls out of its
+	// range loop after at most one in-flight attempt, and attempts
+	// themselves are ctx-supervised via workload.RunSupervised.
 	wg.Wait()
 
 	res := f.merge(workers, resumed, resumedCycles)

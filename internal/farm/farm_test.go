@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -101,6 +102,7 @@ func assertMergeEquals(t *testing.T, res *Result, want []*core.Histogram) {
 // and composite histograms are bit-identical to running every instance
 // alone on a single machine.
 func TestFarmCleanSweep(t *testing.T) {
+	defer checkGoroutineLeak(t)()
 	cfg := testConfig(t, 3)
 	res := runFarm(t, cfg)
 	if res.Completed != testInstances || res.Shed+res.Paused+res.Rescued != 0 {
@@ -109,10 +111,30 @@ func TestFarmCleanSweep(t *testing.T) {
 	assertMergeEquals(t, res, expectHists(t, cfg))
 }
 
+// TestFarmInMemory: without a Root nothing touches the disk, and the
+// merge must still equal ground truth. Two workers over twenty instances
+// complete many times while the other is mid-attempt, with no file I/O
+// to order them by accident: the shape in which the race detector, with
+// room for a whole histogram sweep in its history (`make farmsoak`),
+// sees a coordinator that reads a worker's local store before the pool
+// drains.
+func TestFarmInMemory(t *testing.T) {
+	defer checkGoroutineLeak(t)()
+	cfg := testConfig(t, 2)
+	cfg.Root = ""
+	cfg.Instances = 20
+	res := runFarm(t, cfg)
+	if res.Completed != cfg.Instances || res.Shed+res.Paused+res.Rescued != 0 {
+		t.Fatalf("in-memory sweep ledger: %+v", res.Ledger)
+	}
+	assertMergeEquals(t, res, expectHists(t, cfg))
+}
+
 // TestFarmWorkerCountInvariance: the merge is independent of how the
 // instances were sharded — one worker and four workers produce
 // bit-identical results.
 func TestFarmWorkerCountInvariance(t *testing.T) {
+	defer checkGoroutineLeak(t)()
 	one := runFarm(t, testConfig(t, 1))
 	four := runFarm(t, testConfig(t, 4))
 	if !bytes.Equal(histBytes(t, one.Merged), histBytes(t, four.Merged)) {
@@ -210,6 +232,7 @@ func TestFarmPoolExhaustion(t *testing.T) {
 // the root completes the sweep with results bit-identical to an
 // undisturbed farm.
 func TestFarmPauseResume(t *testing.T) {
+	defer checkGoroutineLeak(t)()
 	cfg := testConfig(t, 2)
 
 	undisturbed := cfg
@@ -221,11 +244,18 @@ func TestFarmPauseResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	go func() {
-		// Land the cancel mid-sweep; any point works — the equality
-		// below must hold wherever it lands.
-		time.Sleep(150 * time.Millisecond)
-		cancel()
+		// Cancel once the first instance has completed: the sweep then has
+		// results on disk, attempts in flight and instances queued, on a
+		// host of any speed. The equality below must hold wherever the
+		// cancel lands.
+		for ctx.Err() == nil {
+			if done, _ := filepath.Glob(filepath.Join(cfg.Root, "inst-*", "result.upc")); len(done) > 0 {
+				cancel()
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}()
 	res, err := f.Run(ctx)
 	var intr *Interrupted
@@ -260,6 +290,7 @@ func TestFarmPauseResume(t *testing.T) {
 // retried up to its allowance with backoff, then shed with a cause —
 // while healthy instances complete untouched.
 func TestFarmRetryAndShed(t *testing.T) {
+	defer checkGoroutineLeak(t)()
 	var sched [fault.NumPoints]fault.Schedule
 	sched[fault.CSParity] = fault.Schedule{Every: 25}
 	cfg := testConfig(t, 2)

@@ -7,10 +7,9 @@ import (
 	"time"
 )
 
-// Runtime twin of the goleak analyzer: the static proof says every
-// spawned worker has an exit path; this check confirms, after the runs
-// most likely to strand one (chaos kills, pool exhaustion), that none
-// actually survived. Static and dynamic verdicts cross-check each other.
+// The farm's goroutine-exit check: every farm test defers it, so after
+// each run shape — clean, sharded, chaos kills, pool exhaustion, the
+// pause drain and retry with backoff — no worker goroutine survives Run.
 
 // workerGoroutines counts live goroutines with a (*worker) frame — the
 // pool itself, not the test goroutine (whose frames are farm.TestXxx).

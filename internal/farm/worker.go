@@ -99,10 +99,15 @@ func newWorker(id int, f *Farm, ctx context.Context, dispatch <-chan *instance,
 // the in-flight instance) and returns without draining the channel.
 func (w *worker) loop() {
 	defer w.wg.Done()
-	//vaxlint:allow ctxflow -- dispatch has exactly one closing owner (Farm.Run, proved by chanprot), and Run closes it on every exit path including pause; the range terminates without needing ctx.
+	// dispatch has exactly one closing owner, Farm.Run, which closes it on
+	// every exit path including pause, so the range terminates without
+	// needing ctx.
 	for inst := range w.dispatch {
 		ev, dead := w.attempt(inst)
-		//vaxlint:allow ctxflow -- the coordinator drains events unconditionally until outstanding==0, even while paused; guarding this send with ctx would drop the completion event Run's accounting is waiting for.
+		// Not guarded by ctx: the coordinator drains events unconditionally
+		// until outstanding==0, even while paused; guarding this send with
+		// ctx would drop the completion event Run's accounting is waiting
+		// for.
 		w.events <- ev
 		if dead {
 			return
