@@ -12,6 +12,14 @@
 GO ?= go
 FUZZTIME ?= 10s
 
+# Every -race target (race, soak, farmsoak, crash-consistency) keeps 4M
+# accesses of race history per goroutine (GORACE history_size=7) instead
+# of the default 64K: the detector drops a race whose earlier access has
+# left the history. At the default a coordinator that read one worker's
+# histograms (164K accesses) inside its loop went unreported in 5 of 5
+# runs; at history_size=7 it was reported in 5 of 5.
+RACEGO = GORACE=history_size=7 $(GO)
+
 .PHONY: check build gofmt vet lint vaxlint sarif escape-truth latency latency-truth test race soak farmsoak crash-consistency fuzz-smoke bench lint-bench
 
 check: build gofmt vet vaxlint escape-truth latency-truth race soak farmsoak crash-consistency fuzz-smoke
@@ -70,30 +78,28 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./...
+	$(RACEGO) test -race ./...
 
 # Chaos soak: millions of cycles of OS workload with every fault-injection
 # point firing; nothing worse than a machine check may come out.
 soak:
-	$(GO) test -run TestChaosSoak -race ./internal/fault
+	$(RACEGO) test -run TestChaosSoak -race ./internal/fault
 
 # Farm soak: every farm test under the race detector — workers killed
 # mid-sweep with the fault plane firing must leave the merged histograms
 # bit-identical to the unperturbed same-seed run, killing every worker
 # must shed with causes instead of hanging, and no worker goroutine may
 # outlive a run. The farm's concurrency contract rests on these runs
-# (DESIGN.md §14). history_size=7 keeps 4M accesses of race history per
-# goroutine instead of the default 64K: the detector drops a race whose
-# earlier access has left the history, and the coordinator reading one
-# worker's histograms is 164K accesses.
+# (DESIGN.md §14); like every -race target it runs at history_size=7
+# (RACEGO above).
 farmsoak:
-	GORACE=history_size=7 $(GO) test -race -run 'TestFarm' ./internal/farm
+	$(RACEGO) test -race -run 'TestFarm' ./internal/farm
 
 # Crash consistency: interrupt a checkpointed run, truncate the newest
 # snapshot generation (a simulated crash mid-write), resume, and require
 # results bit-identical to an uninterrupted run — under the race detector.
 crash-consistency:
-	$(GO) test -race -run 'TestCheckpointResumeDeterminism|TestCrashConsistencyKillAndResume' ./internal/workload
+	$(RACEGO) test -race -run 'TestCheckpointResumeDeterminism|TestCrashConsistencyKillAndResume' ./internal/workload
 
 # Short native-fuzz smoke per target; raise FUZZTIME for a real campaign.
 fuzz-smoke:

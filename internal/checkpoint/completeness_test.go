@@ -43,6 +43,7 @@ var exempt = map[string]map[string]string{
 		"scratch": "transient decode buffer; its contents never outlive one peek/consume",
 	},
 	"mem.Memory": {
+		"size":    "construction wiring: New's argument, which the resume path passes again; MemoryState carries it only for ImportState to check",
 		"inject":  "attachment derived from the fault plane",
 		"watched": "derived: frames translation memos read PTEs from; ImportState clears it",
 		"mapGen":  "derived: memos compare it for equality only; ImportState bumps it",

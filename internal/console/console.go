@@ -16,6 +16,7 @@ import (
 	"vax780/internal/asm"
 	"vax780/internal/core"
 	"vax780/internal/cpu"
+	"vax780/internal/mem"
 	"vax780/internal/mmu"
 	"vax780/internal/vax"
 )
@@ -189,12 +190,19 @@ func (c *Console) examine(va uint32, n int) {
 			fmt.Fprintf(c.out, "%08x: <%v>\n", addr, err)
 			return
 		}
-		fmt.Fprintf(c.out, "%08x: %08x\n", addr, c.m.Mem.ReadLong(pa))
+		fmt.Fprintf(c.out, "%08x: %08x\n", addr, c.m.Mem.PeekLong(pa))
 	}
 }
 
+// peeker reads page-table entries for the console's walks as an observer,
+// so examining memory never samples the RDS injector or latches a fault
+// the machine would then take as a machine check.
+type peeker struct{ m *mem.Memory }
+
+func (p peeker) ReadLong(pa uint32) uint32 { return p.m.PeekLong(pa) }
+
 func (c *Console) translate(va uint32) (uint32, error) {
-	return mmu.Translate(va, &c.m.MMU, c.m.Mem)
+	return mmu.Translate(va, &c.m.MMU, peeker{c.m.Mem})
 }
 
 func (c *Console) disasm(va uint32, n int) {
@@ -211,7 +219,7 @@ func (c *Console) disasm(va uint32, n int) {
 			if err != nil {
 				break
 			}
-			buf = append(buf, c.m.Mem.Byte(p))
+			buf = append(buf, c.m.Mem.PeekByte(p))
 		}
 		_ = pa
 		text, size, err := asm.DisasmOne(buf, va, 0)

@@ -14,6 +14,8 @@
 // check (internal/cpu, DESIGN.md "Fault model & machine checks").
 package mem
 
+import "bytes"
+
 // FaultKind classifies a latched memory fault.
 type FaultKind int
 
@@ -42,9 +44,13 @@ type Fault struct {
 	Addr uint32 // physical address of the failing reference
 }
 
-// Memory is the physical memory array (the paper's machines had 8 MB).
+// Memory is the physical memory array (the paper's machines had 8 MB). It
+// is held as a table of 512-byte frames. A frame gets its storage on its
+// first nonzero store, and a frame without storage reads as zeros, so a
+// machine costs the host the frames its programs write, not its size.
 type Memory struct {
-	data []byte
+	frames []*[frameSize]byte // nil: a frame that holds only zeros
+	size   uint32
 
 	inject   func() bool // RDS fault sampler (nil = never)
 	fault    Fault
@@ -56,17 +62,25 @@ type Memory struct {
 	mapGen  uint64
 }
 
-// A frame is the 512-byte VAX page: the granularity of the page-table
+// A frame is the 512-byte VAX page: the unit of storage, of the page-table
 // watch and of snapshots (MemoryState).
 const (
 	frameShift = 9
 	frameSize  = 1 << frameShift
+	frameMask  = frameSize - 1
 )
+
+// zeroFrame is what a frame without storage holds.
+var zeroFrame [frameSize]byte
 
 // New returns a physical memory of the given size in bytes.
 func New(size uint32) *Memory {
 	frames := (uint64(size) + frameSize - 1) >> frameShift
-	return &Memory{data: make([]byte, size), watched: make([]uint64, (frames+63)/64)}
+	return &Memory{
+		frames:  make([]*[frameSize]byte, frames),
+		size:    size,
+		watched: make([]uint64, (frames+63)/64),
+	}
 }
 
 // Watch marks the frame holding pa as one a translation memo read a
@@ -99,7 +113,7 @@ func (m *Memory) invalidate() {
 }
 
 // Size returns the memory size in bytes.
-func (m *Memory) Size() uint32 { return uint32(len(m.data)) }
+func (m *Memory) Size() uint32 { return m.size }
 
 // SetInjector installs an RDS fault sampler consulted once per read
 // reference (nil removes it). See internal/fault.
@@ -121,10 +135,15 @@ func (m *Memory) latch(k FaultKind, pa uint32) {
 	}
 }
 
+// inRange reports whether the n bytes at pa lie inside the array.
+func (m *Memory) inRange(pa uint32, n int) bool {
+	return uint64(pa)+uint64(n) <= uint64(m.size)
+}
+
 // check validates an access; out-of-range references latch a fault and
 // report false so the caller can complete the access benignly.
 func (m *Memory) check(pa uint32, n int) bool {
-	if uint64(pa)+uint64(n) > uint64(len(m.data)) {
+	if !m.inRange(pa, n) {
 		m.latch(FaultRange, pa)
 		return false
 	}
@@ -145,19 +164,71 @@ func (m *Memory) readCheck(pa uint32, n int) bool {
 	return true
 }
 
+// at returns the byte at an in-range pa.
+func (m *Memory) at(pa uint32) byte {
+	if f := m.frames[pa>>frameShift]; f != nil {
+		return f[pa&frameMask]
+	}
+	return 0
+}
+
+// long returns the longword at an in-range pa, little-endian.
+func (m *Memory) long(pa uint32) uint32 {
+	return uint32(m.at(pa)) | uint32(m.at(pa+1))<<8 |
+		uint32(m.at(pa+2))<<16 | uint32(m.at(pa+3))<<24
+}
+
+// copyOut fills dst from the in-range bytes at pa, one frame at a time.
+func (m *Memory) copyOut(pa uint32, dst []byte) {
+	for len(dst) > 0 {
+		off := pa & frameMask
+		n := min(len(dst), frameSize-int(off))
+		if f := m.frames[pa>>frameShift]; f != nil {
+			copy(dst[:n], f[off:])
+		} else {
+			clear(dst[:n])
+		}
+		dst, pa = dst[n:], pa+uint32(n)
+	}
+}
+
+// frame returns the storage of frame f. A frame without storage gets it
+// here, and callers let that happen only for a store that puts a nonzero
+// byte into the frame.
+func (m *Memory) frame(f uint32) *[frameSize]byte {
+	if p := m.frames[f]; p != nil {
+		return p
+	}
+	//vaxlint:allow hotpath -- bounded: at most one 512-byte frame per frame of the array over a machine's life, on its first nonzero store; the five profiles write 834–1,024 of 16,384
+	p := new([frameSize]byte)
+	m.frames[f] = p
+	return p
+}
+
+// put stores b at an in-range pa. A zero stored into a frame without
+// storage changes nothing, so it allocates nothing.
+func (m *Memory) put(pa uint32, b byte) {
+	if f := m.frames[pa>>frameShift]; f != nil {
+		f[pa&frameMask] = b
+	} else if b != 0 {
+		m.frame(pa >> frameShift)[pa&frameMask] = b
+	}
+}
+
 // Byte reads one byte at a physical address.
 func (m *Memory) Byte(pa uint32) byte {
 	if !m.readCheck(pa, 1) {
 		return 0
 	}
-	return m.data[pa]
+	return m.at(pa)
 }
 
 // Bytes fills dst from physical memory at pa exactly as len(dst) Byte
-// calls would; without a sampler, inside the array, that is one copy.
+// calls would; without a sampler, inside the array, that is one copy per
+// frame.
 func (m *Memory) Bytes(pa uint32, dst []byte) {
-	if m.inject == nil && uint64(pa)+uint64(len(dst)) <= uint64(len(m.data)) {
-		copy(dst, m.data[pa:])
+	if m.inject == nil && m.inRange(pa, len(dst)) {
+		m.copyOut(pa, dst)
 		return
 	}
 	for i := range dst {
@@ -170,8 +241,26 @@ func (m *Memory) ReadLong(pa uint32) uint32 {
 	if !m.readCheck(pa, 4) {
 		return 0
 	}
-	return uint32(m.data[pa]) | uint32(m.data[pa+1])<<8 |
-		uint32(m.data[pa+2])<<16 | uint32(m.data[pa+3])<<24
+	return m.long(pa)
+}
+
+// PeekLong returns the longword at pa as ReadLong would, for the
+// simulator's own observation of memory (the OS model's device hook and
+// counters, the console): it is no machine reference, so it samples no
+// RDS injector and latches no fault. Outside the array it reads zero.
+func (m *Memory) PeekLong(pa uint32) uint32 {
+	if !m.inRange(pa, 4) {
+		return 0
+	}
+	return m.long(pa)
+}
+
+// PeekByte is PeekLong for one byte.
+func (m *Memory) PeekByte(pa uint32) byte {
+	if !m.inRange(pa, 1) {
+		return 0
+	}
+	return m.at(pa)
 }
 
 // SetByte writes one byte at a physical address.
@@ -182,7 +271,7 @@ func (m *Memory) SetByte(pa uint32, v byte) {
 	if m.Watched(pa) {
 		m.invalidate()
 	}
-	m.data[pa] = v
+	m.put(pa, v)
 }
 
 // WriteLong writes a longword at a physical address.
@@ -193,27 +282,33 @@ func (m *Memory) WriteLong(pa uint32, v uint32) {
 	if m.Watched(pa) || m.Watched(pa+3) {
 		m.invalidate()
 	}
-	m.data[pa] = byte(v)
-	m.data[pa+1] = byte(v >> 8)
-	m.data[pa+2] = byte(v >> 16)
-	m.data[pa+3] = byte(v >> 24)
+	for i := uint32(0); i < 4; i++ {
+		m.put(pa+i, byte(v>>(8*i)))
+	}
 }
 
-// Load copies a byte image into physical memory.
+// Load copies a byte image into physical memory. A frame without storage
+// that the image would fill with zeros stays without.
 func (m *Memory) Load(pa uint32, b []byte) {
 	if !m.check(pa, len(b)) {
 		return
 	}
 	m.invalidate()
-	copy(m.data[pa:], b)
+	for len(b) > 0 {
+		off := pa & frameMask
+		n := min(len(b), frameSize-int(off))
+		if m.frames[pa>>frameShift] != nil || !bytes.Equal(b[:n], zeroFrame[:n]) {
+			copy(m.frame(pa >> frameShift)[off:], b[:n])
+		}
+		b, pa = b[n:], pa+uint32(n)
+	}
 }
 
 // Read copies n bytes out of physical memory.
 func (m *Memory) Read(pa uint32, n int) []byte {
 	out := make([]byte, n)
-	if !m.readCheck(pa, n) {
-		return out
+	if m.readCheck(pa, n) {
+		m.copyOut(pa, out)
 	}
-	copy(out, m.data[pa:])
 	return out
 }

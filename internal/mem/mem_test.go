@@ -134,11 +134,20 @@ func TestMemoryStateImport(t *testing.T) {
 	if err := m.ImportState(st); err != nil {
 		t.Fatalf("ImportState: %v", err)
 	}
-	if !bytes.Equal(m.data, src.data) {
+	if !bytes.Equal(image(m), image(src)) {
 		t.Fatal("imported memory differs from the exported one")
 	}
 
 	frame := func(b byte) []byte { return bytes.Repeat([]byte{b}, frameSize) }
+	// Bytes a state holds past the end of a partial last frame do not
+	// enter the memory: they export as the zero padding again.
+	if err := m.ImportState(MemoryState{Size: size, Frames: []uint32{3}, Data: frame(4)}); err != nil {
+		t.Fatalf("ImportState: %v", err)
+	}
+	want := append(bytes.Repeat([]byte{4}, frameSize-24), make([]byte, 24)...)
+	if back := m.ExportState(); !bytes.Equal(back.Data, want) {
+		t.Errorf("partial frame exported as %x…, want its padding zero", back.Data[frameSize-32:])
+	}
 	for _, c := range []struct {
 		name string
 		st   MemoryState
@@ -149,13 +158,13 @@ func TestMemoryStateImport(t *testing.T) {
 		{"descending frames", MemoryState{Size: size, Frames: []uint32{2, 1}, Data: append(frame(1), frame(2)...)}},
 		{"frame past the array", MemoryState{Size: size, Frames: []uint32{0, 4}, Data: append(frame(1), frame(2)...)}},
 	} {
-		before := append([]byte(nil), m.data...)
+		before := image(m)
 		gen := m.MapGen()
 		c.st.HasFault = true
 		if err := m.ImportState(c.st); err == nil {
 			t.Errorf("%s: ImportState accepted it", c.name)
 		}
-		if !bytes.Equal(m.data, before) || m.MapGen() != gen || m.hasFault {
+		if !bytes.Equal(image(m), before) || m.MapGen() != gen || m.hasFault {
 			t.Errorf("%s: a refused import changed the memory", c.name)
 		}
 	}

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"fmt"
+	"slices"
 )
 
 // Serialized state of the memory subsystem, for the checkpoint/resume
@@ -31,48 +32,52 @@ type MemoryState struct {
 	HasFault bool
 }
 
-// zeroFrame is what every frame a MemoryState does not list holds.
-var zeroFrame [frameSize]byte
-
 // ExportState captures the nonzero frames of the memory array and its
-// error latch.
+// error latch. Only frames with storage are looked at, so its cost grows
+// with the frames the machine wrote, not with the array's size.
 func (m *Memory) ExportState() MemoryState {
-	st := MemoryState{Size: uint32(len(m.data)), Fault: m.fault, HasFault: m.hasFault}
-	for lo := 0; lo < len(m.data); lo += frameSize {
-		f := m.data[lo:min(lo+frameSize, len(m.data))]
-		if bytes.Equal(f, zeroFrame[:len(f)]) {
-			continue
+	st := MemoryState{Size: m.size, Fault: m.fault, HasFault: m.hasFault}
+	for f, p := range m.frames {
+		if p != nil && !bytes.Equal(p[:], zeroFrame[:]) {
+			st.Frames = append(st.Frames, uint32(f))
 		}
-		st.Frames = append(st.Frames, uint32(lo>>frameShift))
-		st.Data = append(append(st.Data, f...), zeroFrame[len(f):]...)
+	}
+	st.Data = slices.Grow(st.Data, len(st.Frames)*frameSize)
+	for _, f := range st.Frames {
+		st.Data = append(st.Data, m.frames[f][:]...)
 	}
 	return st
 }
 
 // ImportState restores a state captured from a memory of the same size.
 // It validates the whole state, size included, before touching the
-// array, then zeroes the array and copies the listed frames in, so
+// memory, then rebuilds the frame table from the listed frames alone, so
 // nothing the memory held before survives.
 func (m *Memory) ImportState(st MemoryState) error {
-	if st.Size != uint32(len(m.data)) {
-		return fmt.Errorf("mem: snapshot of a %d-byte memory, this one holds %d", st.Size, len(m.data))
+	if st.Size != m.size {
+		return fmt.Errorf("mem: snapshot of a %d-byte memory, this one holds %d", st.Size, m.size)
 	}
 	if len(st.Data) != len(st.Frames)*frameSize {
 		return fmt.Errorf("mem: snapshot holds %d bytes for %d frames of %d",
 			len(st.Data), len(st.Frames), frameSize)
 	}
-	frames := (uint64(len(m.data)) + frameSize - 1) >> frameShift
 	for i, f := range st.Frames {
-		if uint64(f) >= frames {
-			return fmt.Errorf("mem: snapshot frame %d is outside a memory of %d frames", f, frames)
+		if int(f) >= len(m.frames) {
+			return fmt.Errorf("mem: snapshot frame %d is outside a memory of %d frames", f, len(m.frames))
 		}
 		if i > 0 && f <= st.Frames[i-1] {
 			return fmt.Errorf("mem: snapshot frames not strictly ascending: %d follows %d", f, st.Frames[i-1])
 		}
 	}
-	clear(m.data)
+	clear(m.frames)
+	data := bytes.Clone(st.Data)
 	for i, f := range st.Frames {
-		copy(m.data[int(f)<<frameShift:], st.Data[i*frameSize:(i+1)*frameSize])
+		p := (*[frameSize]byte)(data[i*frameSize:])
+		// A last frame the array only partly covers keeps zeros past it.
+		if end := m.size - f<<frameShift; end < frameSize {
+			clear(p[end:])
+		}
+		m.frames[f] = p
 	}
 	m.fault = st.Fault
 	m.hasFault = st.HasFault

@@ -331,7 +331,7 @@ func (s *System) Boot() error {
 // startProcess loads a process context by console action (the boot path).
 func (s *System) startProcess(p *Process) {
 	m := s.m
-	rd := func(slot int) uint32 { return m.Mem.ReadLong(p.PCB + cpu.PCBOffset(slot)) }
+	rd := func(slot int) uint32 { return m.Mem.PeekLong(p.PCB + cpu.PCBOffset(slot)) }
 	m.SetIPR(cpu.IPRSlotPCBB, p.PCB)
 	m.SetIPR(cpu.IPRSlotKSP, rd(0))
 	m.MMU.P0BR = rd(18)
@@ -374,8 +374,9 @@ func (s *System) onInstruction(m *cpu.Machine) {
 		s.termNext++
 	}
 	// Disk: the kernel counts requests in its data area; each schedules a
-	// completion interrupt DiskLatency cycles out.
-	if req := m.Mem.ReadLong(s.diskReq); req > s.diskSeen {
+	// completion interrupt DiskLatency cycles out. The device model reads
+	// the counter as an observer (PeekLong): the CPU made no reference.
+	if req := m.Mem.PeekLong(s.diskReq); req > s.diskSeen {
 		for ; s.diskSeen < req; s.diskSeen++ {
 			s.diskDue = append(s.diskDue, now+s.cfg.DiskLatency)
 		}
@@ -408,9 +409,7 @@ func (s *System) Run(cycles uint64) cpu.RunResult {
 }
 
 // Ticks returns the kernel's clock-tick counter.
-func (s *System) Ticks() uint32 {
-	return s.m.Mem.ReadLong(kernPhys + s.kern.MustAddr("ticks") - s.kern.Org)
-}
+func (s *System) Ticks() uint32 { return s.kernelCounter("ticks") }
 
 // CtxSwitches returns the hardware context-switch count.
 func (s *System) CtxSwitches() uint64 { return s.m.HW().CtxSwitches }
@@ -418,7 +417,7 @@ func (s *System) CtxSwitches() uint64 { return s.m.HW().CtxSwitches }
 // ReadUser reads a longword from a process's P0 space by console access
 // (the backing frames are contiguous).
 func (s *System) ReadUser(p *Process, va uint32) uint32 {
-	return s.m.Mem.ReadLong(p.Base + va)
+	return s.m.Mem.PeekLong(p.Base + va)
 }
 
 // TermEvents returns the kernel's terminal interrupt count.
@@ -437,7 +436,7 @@ func (s *System) MachineChecks() uint32 { return s.kernelCounter("mchkcnt") }
 // MachineCheckCause returns the kernel's per-cause machine-check log slot.
 func (s *System) MachineCheckCause(cause cpu.MCCause) uint32 {
 	base := kernPhys + s.kern.MustAddr("mccause") - s.kern.Org
-	return s.m.Mem.ReadLong(base + 4*uint32(cause))
+	return s.m.Mem.PeekLong(base + 4*uint32(cause))
 }
 
 // CPUTime returns the cycles charged to a process (including kernel time
@@ -450,7 +449,8 @@ func (s *System) CPUTime(p *Process) uint64 {
 	return 0
 }
 
-// kernelCounter reads a longword counter from the kernel's data area.
+// kernelCounter reads a longword counter from the kernel's data area,
+// as an observer: no RDS sample, no latched fault.
 func (s *System) kernelCounter(label string) uint32 {
-	return s.m.Mem.ReadLong(kernPhys + s.kern.MustAddr(label) - s.kern.Org)
+	return s.m.Mem.PeekLong(kernPhys + s.kern.MustAddr(label) - s.kern.Org)
 }

@@ -74,19 +74,20 @@ func requireIdentical(t *testing.T, name string, base, resumed *Result) {
 // PTE and byte read, so the second input proves that the fault schedule,
 // and the machine checks it raises, depend on no state a snapshot drops,
 // such as the functional path's translation memo. The machine checks and
-// RDS samples are pinned at the values the model produced before the memo
-// existed.
+// RDS samples are pinned: the translation and decode memos left them
+// unchanged, and they count only references the machine made, not the OS
+// model's or the console's observation of memory.
 func TestCheckpointResumeDeterminism(t *testing.T) {
 	const cycles = 280_000
 	memRDS := &fault.Config{Seed: 11}
 	memRDS.Sched[fault.MemRDS] = fault.Schedule{Rate: 2e-5, Every: 40_000}
 	// Per profile: HW.MachineChecks and the plane's MemRDS samples.
 	pins := map[string][2]uint64{
-		"rte-commercial":       {37, 867898},
-		"rte-educational":      {38, 894914},
-		"rte-scientific":       {37, 862998},
-		"timesharing-cpudev":   {37, 872911},
-		"timesharing-research": {40, 954132},
+		"rte-commercial":       {37, 840559},
+		"rte-educational":      {37, 866789},
+		"rte-scientific":       {35, 835963},
+		"timesharing-cpudev":   {37, 844658},
+		"timesharing-research": {40, 923576},
 	}
 	for _, p := range All() {
 		p := p
