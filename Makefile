@@ -1,13 +1,14 @@
 # Developer entry points. `make check` is the full pre-merge gate: build, gofmt,
-# go vet, the repo's own vaxlint static analyzers (cross-table invariant,
-# determinism and hot-path contracts, see DESIGN.md
-# "Static analysis & invariants"), the test suite
-# under the race detector, the chaos soak (fault injection into a full OS
-# workload, DESIGN.md "Fault model & machine checks"), the crash-
-# consistency proof (kill a checkpointed run mid-write, resume, demand
-# bit-identical results; DESIGN.md "Checkpoint format & run supervision"),
-# and a short fuzz smoke over the disassembler, instruction decoder, and
-# checkpoint loader.
+# go vet, the repo's own vaxlint static analyzers (cross-table invariants,
+# typed errors and exhaustive enum switches, see DESIGN.md
+# "Static analysis & invariants"), the measured latency oracle, the test
+# suite under the race detector (with the runtime determinism and
+# allocation gates, DESIGN.md §11 and §13), the chaos soak (fault
+# injection into a full OS workload, DESIGN.md "Fault model & machine
+# checks"), the farm soak, the crash-consistency proof (kill a
+# checkpointed run mid-write, resume, demand bit-identical results;
+# DESIGN.md "Checkpoint format & run supervision"), and a short fuzz smoke
+# over the disassembler, instruction decoder, and checkpoint loader.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -20,9 +21,9 @@ FUZZTIME ?= 10s
 # runs; at history_size=7 it was reported in 5 of 5.
 RACEGO = GORACE=history_size=7 $(GO)
 
-.PHONY: check build gofmt vet lint vaxlint sarif escape-truth latency latency-truth test race soak farmsoak crash-consistency fuzz-smoke bench lint-bench
+.PHONY: check build gofmt vet lint vaxlint sarif latency latency-truth test race soak farmsoak crash-consistency fuzz-smoke bench lint-bench
 
-check: build gofmt vet vaxlint escape-truth latency-truth race soak farmsoak crash-consistency fuzz-smoke
+check: build gofmt vet vaxlint latency-truth race soak farmsoak crash-consistency fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -35,7 +36,7 @@ gofmt:
 vet:
 	$(GO) vet ./...
 
-# All seven analyzers, human-readable; vet is its own target above.
+# All five analyzers, human-readable; vet is its own target above.
 vaxlint:
 	$(GO) run ./cmd/vaxlint -vet=false ./...
 
@@ -48,14 +49,6 @@ sarif:
 lint:
 	$(GO) run ./cmd/vaxlint -vet=false -json ./...
 
-# Escape ground truth: diff the hotpath analyzer's composite-literal
-# escape verdicts against `go build -gcflags=-m` over the real hot set;
-# drift in either direction — a stack claim the compiler refutes, or an
-# unpinned over-approximation — fails the gate (see
-# internal/analysis/escape_truth_test.go).
-escape-truth:
-	$(GO) test -run TestEscapeGroundTruth ./internal/analysis
-
 # Latency table (DESIGN.md §16): measure every registered opcode under
 # each directed variant and every addressing mode, and rewrite the
 # committed LATENCY.md + latency.json.
@@ -65,8 +58,9 @@ latency:
 # Latency oracle gate: measure the table in memory and require both
 # committed files byte for byte (a one-cycle change to any measured cell
 # fails here), with the row assertion, the counter identities on every
-# step, the concurrent-sweep determinism check and the corruption tests;
-# then confront the analysis suite's static registration scan and
+# step, the concurrent-sweep determinism check, the per-step allocation
+# gate and the corruption tests; then confront the analysis suite's
+# static registration scan and
 # exec-file rows with the committed table. The attribution tests hold
 # the five profiles' histograms to the machine's own counters on every
 # instruction and require every defined microword to be counted
@@ -102,26 +96,33 @@ crash-consistency:
 	$(RACEGO) test -race -run 'TestCheckpointResumeDeterminism|TestCrashConsistencyKillAndResume' ./internal/workload
 
 # Short native-fuzz smoke per target; raise FUZZTIME for a real campaign.
+# -fuzzminimizetime 1s caps the time go test spends shrinking each new
+# interesting input (default 60 s). FuzzCheckpointLoad's inputs are
+# 36 KB snapshots: at the default, a 10 s smoke stopped executing inputs
+# after 3–6 s (2,687–138,720 execs, then none, in four runs); with 1 s
+# it fuzzes for the whole budget (31,457 and 34,098 execs, each input
+# decoded twice).
+FUZZ = $(GO) test -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzDisasmOne -fuzztime $(FUZZTIME) ./internal/asm
-	$(GO) test -fuzz=FuzzDecode$$ -fuzztime $(FUZZTIME) ./internal/vax
-	$(GO) test -fuzz=FuzzDecodeSpecifier -fuzztime $(FUZZTIME) ./internal/vax
-	$(GO) test -fuzz=FuzzCheckpointLoad -fuzztime $(FUZZTIME) ./internal/checkpoint
+	$(FUZZ) -fuzz=FuzzDisasmOne ./internal/asm
+	$(FUZZ) -fuzz=FuzzDecode$$ ./internal/vax
+	$(FUZZ) -fuzz=FuzzDecodeSpecifier ./internal/vax
+	$(FUZZ) -fuzz=FuzzCheckpointLoad ./internal/checkpoint
 
 # Regenerate every table and figure of the paper (see bench_test.go),
-# then append a stepping-cost entry — cycles/sec, ns/cycle, allocs/cycle
-# per workload profile — to the committed BENCH_step.json ledger, and a
-# fleet-throughput entry (merged cycles/sec across the worker pool, with
-# rescue/shed counts; one worker killed mid-sweep so the number covers
-# the rescue path) to BENCH_farm.json.
+# then append a fleet-throughput entry (merged cycles/sec across the
+# worker pool, with rescue/shed counts; one worker killed mid-sweep so
+# the number covers the rescue path) to BENCH_farm.json. The stepping
+# rate per profile, with host and spread, is perfbench's
+# (perfbench/run.sh).
 bench:
 	$(GO) test -bench . -benchtime 1x
-	$(GO) run ./cmd/vaxbench -out BENCH_step.json
 	$(GO) run ./cmd/vaxbench -farm -chaos "1@3" -out BENCH_farm.json
 
-# Analyzer-suite cost: one module load, then each of the seven
-# vaxlint analyzers timed over the whole tree with its findings count,
-# appended to the committed BENCH_lint.json ledger — the suite is big
-# enough that its own cost needs a trajectory.
+# Analyzer-suite cost: one module load, then each of the five vaxlint
+# analyzers timed over the whole tree with its findings count, appended
+# to the committed BENCH_lint.json ledger, so the suite's own cost has a
+# trajectory.
 lint-bench:
 	$(GO) run ./cmd/vaxbench -lint -out BENCH_lint.json

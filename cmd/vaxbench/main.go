@@ -1,32 +1,26 @@
-// Command vaxbench measures the cost of the reproduction itself — how
-// fast the simulator steps each of the five workload profiles — and
-// appends the result to the BENCH_step.json ledger (see internal/bench).
-// The paper's tables are regenerated by `go test -bench .`; this command
-// tracks simulated cycles per wall second, nanoseconds per cycle, and
-// heap allocations per cycle, the quantities the hotpath analyzer exists
-// to protect.
+// Command vaxbench measures the cost of two parts of the reproduction
+// and appends the result to a committed ledger (see internal/bench). The
+// paper's tables are regenerated by `go test -bench .`, and the stepping
+// rate of the five profiles, with its host and spread, by perfbench.
 //
-// The -farm profile measures the fleet supervisor (internal/farm)
-// instead: aggregate throughput — merged cycles per wall second across a
-// worker pool — with the rescue and shed counts that say what the number
-// covers, appended to the BENCH_farm.json ledger. An optional -chaos
-// script kills workers mid-sweep, so the ledger tracks throughput under
-// rescue, the fleet's realistic operating point, not just the sunny day.
+// -farm measures the fleet supervisor (internal/farm): aggregate
+// throughput — merged cycles per wall second across a worker pool — with
+// the rescue and shed counts that say what the number covers, appended
+// to the BENCH_farm.json ledger. An optional -chaos script kills workers
+// mid-sweep, so the ledger tracks throughput under rescue, the fleet's
+// realistic operating point, not just the sunny day.
+//
+// -lint measures the analyzer suite itself: one module load, one
+// parallel whole-suite run (the shape `make check` pays for), then each
+// analyzer timed alone over the whole tree with its findings count,
+// appended to BENCH_lint.json, so the suite's own cost has a trajectory.
 //
 // Usage:
 //
-//	vaxbench                        # print the table, don't touch the ledger
-//	vaxbench -out BENCH_step.json   # append an entry to the ledger
-//	vaxbench -cycles 500000         # smaller per-profile budget
-//	vaxbench -farm -out BENCH_farm.json            # fleet throughput
+//	vaxbench -farm                                    # print, don't touch the ledger
+//	vaxbench -farm -out BENCH_farm.json               # fleet throughput
 //	vaxbench -farm -chaos "1@6" -out BENCH_farm.json  # ...under worker death
-//	vaxbench -lint -out BENCH_lint.json            # vaxlint suite cost
-//
-// The -lint profile measures the analyzer suite itself: one module load,
-// one parallel whole-suite run (the shape `make check` pays for), then
-// each analyzer timed alone over the whole tree with its findings count,
-// appended to BENCH_lint.json — the suite is 14 analyzers deep and its
-// own cost needs a trajectory.
+//	vaxbench -lint -out BENCH_lint.json               # vaxlint suite cost
 package main
 
 import (
@@ -39,58 +33,29 @@ import (
 	"vax780/internal/analysis"
 	"vax780/internal/bench"
 	"vax780/internal/cli"
-	"vax780/internal/cpu"
 	"vax780/internal/farm"
-	"vax780/internal/workload"
 )
 
 const name = "vaxbench"
 
 func main() {
-	cycles := flag.Uint64("cycles", 2_000_000, "cycle budget per profile (or per instance with -farm)")
+	cycles := flag.Uint64("cycles", 2_000_000, "cycle budget per instance for -farm")
 	out := flag.String("out", "", "ledger file to append to (empty: print only)")
-	farmMode := flag.Bool("farm", false, "measure fleet-supervisor throughput instead of the stepping loop")
-	lintMode := flag.Bool("lint", false, "measure the vaxlint analyzer suite instead of the stepping loop")
+	farmMode := flag.Bool("farm", false, "measure fleet-supervisor throughput")
+	lintMode := flag.Bool("lint", false, "measure the vaxlint analyzer suite")
 	instances := flag.Int("instances", 10, "machine-instances for -farm")
 	workers := flag.Int("workers", 4, "worker-pool width for -farm")
 	chaos := flag.String("chaos", "", `scripted worker kills for -farm, "worker@chunk" pairs: "0@5,2@9"`)
 	flag.Parse()
 
-	if *farmMode && *lintMode {
-		cli.Exitf(2, name, "-farm and -lint are mutually exclusive")
-	}
-	if *farmMode {
+	switch {
+	case *farmMode == *lintMode:
+		cli.Exitf(2, name, "choose one of -farm and -lint")
+	case *farmMode:
 		benchFarm(*instances, *workers, *cycles, *chaos, *out)
-		return
-	}
-	if *lintMode {
+	default:
 		benchLint(*out)
-		return
 	}
-
-	entry := bench.Entry{
-		Date:      time.Now().UTC().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-		Budget:    *cycles,
-	}
-	fmt.Printf("%-22s %12s %14s %10s %14s %14s\n",
-		"profile", "cycles", "cycles/sec", "ns/cycle", "allocs/cycle", "bytes/cycle")
-	for _, p := range workload.All() {
-		r, err := measure(p, *cycles)
-		cli.Check(name, err)
-		entry.Profiles = append(entry.Profiles, r)
-		fmt.Printf("%-22s %12d %14.0f %10.1f %14.6f %14.3f\n",
-			r.Name, r.Cycles, r.CyclesPerSec, r.NsPerCycle, r.AllocsPerCycle, r.BytesPerCycle)
-	}
-
-	if *out == "" {
-		return
-	}
-	l, err := bench.Load(*out)
-	cli.Check(name, err)
-	l.Append(entry)
-	cli.Check(name, l.Write(*out))
-	fmt.Printf("appended entry %d to %s\n", len(l.Entries), *out)
 }
 
 // benchFarm runs one farm sweep and appends its aggregate throughput to
@@ -200,39 +165,4 @@ func benchLint(out string) {
 	l.Append(entry)
 	cli.Check(name, l.Write(out))
 	fmt.Printf("appended entry %d to %s\n", len(l.Entries), out)
-}
-
-// measure boots one profile, then times and meters the stepping loop
-// alone: construction and boot stay outside the window, the collecting
-// monitor (attached in every real measurement) stays inside it.
-func measure(p workload.Profile, cycles uint64) (bench.ProfileResult, error) {
-	s, err := workload.Prepare(p, cycles, cpu.Config{})
-	if err != nil {
-		return bench.ProfileResult{}, err
-	}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	res := s.Run(cycles)
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	if res.Err != nil {
-		return bench.ProfileResult{}, fmt.Errorf("workload %s: %w", p.Name, res.Err)
-	}
-	if res.Halted {
-		return bench.ProfileResult{}, fmt.Errorf("workload %s: %w (kernel fatal)", p.Name, workload.ErrUnexpectedHalt)
-	}
-	sec := elapsed.Seconds()
-	c := float64(res.Cycles)
-	return bench.ProfileResult{
-		Name:           p.Name,
-		Cycles:         res.Cycles,
-		Instructions:   res.Instructions,
-		Seconds:        sec,
-		CyclesPerSec:   c / sec,
-		NsPerCycle:     1e9 * sec / c,
-		AllocsPerCycle: float64(after.Mallocs-before.Mallocs) / c,
-		BytesPerCycle:  float64(after.TotalAlloc-before.TotalAlloc) / c,
-	}, nil
 }

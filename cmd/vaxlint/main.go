@@ -1,27 +1,24 @@
 // Command vaxlint statically proves the simulator's invariants: opcode
 // table ↔ execute-microroutine registration, paper headline numbers ↔
-// internal/paper, the single-threaded Machine/probe contract, determinism
-// of the measurement core (no wall clock, no global rand, no map
-// iteration reachable from the simulation loop, serializers or
-// checkpoint paths), typed boundary errors, and exhaustive enum switches
-// — plus the hot-path performance contract (hotpath). Two contracts are
-// not proved here but checked at run time: cycle attribution against the
-// machine's own counters (DESIGN.md §12), and the farm's concurrency by
-// its tests under the race detector (DESIGN.md §14). vaxlint is a
-// multichecker-style driver for the analyzers in internal/analysis and
-// is part of the tier-1 verify (Makefile `check`); the suite runs with
-// one goroutine per analyzer, findings merged into one deterministic
-// position order.
+// internal/paper, the single-threaded Machine/probe contract, typed
+// boundary errors, and exhaustive enum switches. Four contracts are not
+// proved here but checked at run time: determinism by the tests that
+// compare bytes (DESIGN.md §11), cycle attribution against the
+// machine's own counters (§12), the stepping loop's allocations by
+// counting them (§13), and the farm's concurrency by its tests under the
+// race detector (§14). vaxlint is a multichecker-style driver for the
+// analyzers in internal/analysis and is part of the tier-1 verify
+// (Makefile `check`); the suite runs with one goroutine per analyzer,
+// findings merged into one deterministic position order.
 //
 // Usage:
 //
-//	go run ./cmd/vaxlint ./...                  # whole module (the normal form)
-//	go run ./cmd/vaxlint -vet=false ./...       # skip the standard go vet passes
-//	go run ./cmd/vaxlint -run determinism ./... # only the named analyzers
-//	go run ./cmd/vaxlint -json ./...            # machine-readable findings
-//	go run ./cmd/vaxlint -sarif ./...           # SARIF 2.1.0 log (CI code scanning)
-//	go run ./cmd/vaxlint -allows ./...          # list every justified suppression
-//	go run ./cmd/vaxlint -list                  # show the suite
+//	go run ./cmd/vaxlint ./...               # whole module (the normal form)
+//	go run ./cmd/vaxlint -vet=false ./...    # skip the standard go vet passes
+//	go run ./cmd/vaxlint -run typederr ./... # only the named analyzers
+//	go run ./cmd/vaxlint -json ./...         # machine-readable findings
+//	go run ./cmd/vaxlint -sarif ./...        # SARIF 2.1.0 log (CI code scanning)
+//	go run ./cmd/vaxlint -list               # show the suite
 //
 // Contract:
 //
@@ -37,12 +34,6 @@
 //   - exit 2: the load itself failed (bad pattern, unparseable or
 //     untypeable source, unknown -run name): no findings were computed
 //     and the tree's health is unknown.
-//
-// -allows is the audit view of the suppression layer: instead of running
-// the analyzers it lists every //vaxlint:allow note in the load — one
-// line per note, "file:line: analyzer[,analyzer]: reason" — sorted by
-// file then line, so the set of accepted exceptions is reviewable as a
-// whole and diffable between revisions. Exit 0 regardless of count.
 package main
 
 import (
@@ -102,7 +93,6 @@ func main() {
 	runNames := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	jsonOut := flag.Bool("json", false, "emit findings as one JSON object per line")
 	sarifOut := flag.Bool("sarif", false, "emit a SARIF 2.1.0 log on stdout")
-	allows := flag.Bool("allows", false, "list every //vaxlint:allow suppression and exit")
 	flag.Parse()
 	if *jsonOut && *sarifOut {
 		cli.Exitf(2, "vaxlint", "-json and -sarif are mutually exclusive")
@@ -126,18 +116,6 @@ func main() {
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-
-	if *allows {
-		pkgs, err := analysis.LoadModule(".", patterns)
-		if err != nil {
-			cli.Exitf(2, "vaxlint", "%v", err)
-		}
-		for _, e := range analysis.CollectAllows(pkgs) {
-			fmt.Printf("%s:%d: %s: %s\n",
-				e.Pos.Filename, e.Pos.Line, strings.Join(e.Analyzers, ","), e.Reason)
-		}
-		return
 	}
 
 	exitCode := 0

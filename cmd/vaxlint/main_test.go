@@ -14,20 +14,20 @@ import (
 func TestSelectAnalyzers(t *testing.T) {
 	all := analysis.All()
 
-	got, err := selectAnalyzers("hotpath, determinism", all)
+	got, err := selectAnalyzers("typederr, exhaustive", all)
 	if err != nil {
 		t.Fatalf("valid spec errored: %v", err)
 	}
-	if len(got) != 2 || got[0].Name != "hotpath" || got[1].Name != "determinism" {
-		t.Fatalf("selectAnalyzers picked %v, want [hotpath determinism]", got)
+	if len(got) != 2 || got[0].Name != "typederr" || got[1].Name != "exhaustive" {
+		t.Fatalf("selectAnalyzers picked %v, want [typederr exhaustive]", got)
 	}
 
-	_, err = selectAnalyzers("hotpaht", all)
+	_, err = selectAnalyzers("typedrer", all)
 	if err == nil {
 		t.Fatal("unknown analyzer name did not error")
 	}
 	msg := err.Error()
-	if !strings.Contains(msg, `unknown analyzer "hotpaht"`) {
+	if !strings.Contains(msg, `unknown analyzer "typedrer"`) {
 		t.Errorf("error %q does not name the bad analyzer", msg)
 	}
 	for _, a := range all {

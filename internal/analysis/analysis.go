@@ -4,12 +4,11 @@
 //
 // The model's fidelity to Emer & Clark rests on cross-file invariants —
 // every opcode in internal/vax's opTable must have exactly one register()ed
-// execute microroutine in internal/cpu, every microword name referenced by
-// the reduction engine must resolve in the control-store map built by
-// internal/cpu/cs.go, the paper's headline numbers must live only in
-// internal/paper, and the Machine/Probe pair is single-threaded. These are
-// otherwise enforced by runtime panics or not at all; the analyzers in
-// this package prove them at build time.
+// execute microroutine in internal/cpu, the paper's headline numbers must
+// live only in internal/paper, and the Machine/Probe pair is
+// single-threaded — and on two contracts at the package boundaries:
+// typed errors and exhaustive enum switches. The analyzers in this
+// package prove them at build time.
 //
 // The API mirrors go/analysis (Analyzer, Pass, Diagnostic, an
 // analysistest-style harness under analysis/analysistest) so the suite can
@@ -63,9 +62,7 @@ type Pass struct {
 	Pkg      *Package   // package under analysis; nil for module-level runs
 	All      []*Package // every package in the load, in dependency order
 
-	diags  *[]Diagnostic
-	facts  factStore  // shared by the analyzer's passes, nil for module-level
-	allows allowIndex // //vaxlint:allow notes of the whole load
+	diags *[]Diagnostic
 }
 
 // Diagnostic is one finding.
@@ -79,12 +76,8 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s [%s]", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
 }
 
-// Reportf records a finding at pos, unless a justified
-// //vaxlint:allow note for this analyzer covers the position.
+// Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	if p.Allowed(pos) {
-		return
-	}
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
@@ -97,17 +90,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // itself failed, not that it found problems.
 //
 // The analyzers run concurrently, one goroutine per analyzer: the suite
-// shares only immutable inputs (the type-checked packages, the allow
-// index), facts never cross analyzers (each gets a private factStore),
-// and each goroutine appends to a private diagnostic slice merged after
-// the barrier. What CANNOT be parallelized is the fact-dependency order
-// inside one analyzer: package-level analyzers visit pkgs in slice
-// order, which the loader guarantees is dependency order, so facts
-// exported while analyzing a package are visible in every pass over its
-// importers. Total output order is independent of scheduling — the
-// merged findings are sorted by position with analyzer name and message
-// as tiebreakers, a total order (the previous serial implementation
-// left same-position ties to sort.Slice's whim).
+// shares only the type-checked packages, which no analyzer writes, and
+// each goroutine appends to a private diagnostic slice merged after the
+// barrier. Total output order is independent of scheduling — the merged
+// findings are sorted by position with analyzer name and message as
+// tiebreakers, a total order.
 //
 // Each pass positions its diagnostics with its own package's FileSet —
 // a load whose packages span several FileSets (hand-assembled inputs)
@@ -118,30 +105,11 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 	if len(pkgs) == 0 {
 		return nil, nil
 	}
-	var diags []Diagnostic
 	sharedFset := pkgs[0].Fset
 	for _, pkg := range pkgs[1:] {
 		if pkg.Fset != sharedFset {
 			sharedFset = nil
 			break
-		}
-	}
-
-	allows := buildAllowIndex(pkgs)
-	known := make(map[string]bool)
-	for _, a := range All() {
-		known[a.Name] = true
-	}
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-	if sharedFset != nil {
-		validateAllows(allows, known, sharedFset, &diags)
-	} else {
-		// Distinct FileSets: validate per package so positions resolve
-		// against the owning package's Fset.
-		for _, pkg := range pkgs {
-			validateAllows(buildAllowIndex([]*Package{pkg}), known, pkg.Fset, &diags)
 		}
 	}
 
@@ -152,10 +120,11 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 		wg.Add(1)
 		go func(i int, a *Analyzer) {
 			defer wg.Done()
-			perDiags[i], perErrs[i] = runOne(a, pkgs, sharedFset, allows)
+			perDiags[i], perErrs[i] = runOne(a, pkgs, sharedFset)
 		}(i, a)
 	}
 	wg.Wait()
+	var diags []Diagnostic
 	for i := range analyzers {
 		diags = append(diags, perDiags[i]...)
 		if perErrs[i] != nil {
@@ -182,24 +151,23 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 }
 
 // runOne is one analyzer's complete run over the load: every package in
-// dependency order for package-level analyzers, one whole-load pass for
+// load order for package-level analyzers, one whole-load pass for
 // module-level ones. It touches nothing shared but its read-only inputs,
 // which is what lets Run fan the suite out.
-func runOne(a *Analyzer, pkgs []*Package, sharedFset *token.FileSet, allows allowIndex) ([]Diagnostic, error) {
+func runOne(a *Analyzer, pkgs []*Package, sharedFset *token.FileSet) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	if a.ModuleLevel {
 		if sharedFset == nil {
 			return nil, fmt.Errorf("%s: module-level analyzer over packages with distinct FileSets", a.Name)
 		}
-		pass := &Pass{Analyzer: a, Fset: sharedFset, All: pkgs, diags: &diags, allows: allows}
+		pass := &Pass{Analyzer: a, Fset: sharedFset, All: pkgs, diags: &diags}
 		if err := a.Run(pass); err != nil {
 			return diags, fmt.Errorf("%s: %w", a.Name, err)
 		}
 		return diags, nil
 	}
-	facts := make(factStore)
 	for _, pkg := range pkgs {
-		pass := &Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, All: pkgs, diags: &diags, facts: facts, allows: allows}
+		pass := &Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, All: pkgs, diags: &diags}
 		if err := a.Run(pass); err != nil {
 			return diags, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 		}
@@ -208,16 +176,13 @@ func runOne(a *Analyzer, pkgs []*Package, sharedFset *token.FileSet, allows allo
 }
 
 // All is the vaxlint suite in reporting order: the three cross-table
-// analyzers from the original suite, the three determinism-contract
-// analyzers built on the fact layer, and the hot-path perf-contract
-// analyzer built on the callgraph's function-value and interface
-// approximations (hotset.go). The farm's concurrency is held by its
-// runtime tests under the race detector, not by an analyzer.
+// analyzers, then the two error and enum contracts. Determinism, the
+// stepping loop's allocations and the farm's concurrency are held by
+// runtime tests, not by an analyzer (DESIGN.md §11, §13, §14).
 func All() []*Analyzer {
 	return []*Analyzer{
 		ExecTable, PaperConst, ProbeSafe,
-		Determinism, TypedErr, Exhaustive,
-		HotPath,
+		TypedErr, Exhaustive,
 	}
 }
 

@@ -26,8 +26,8 @@ import (
 var wantRx = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
 // Run loads testdata/src/<pkg> and every local package it imports,
-// applies the analyzer over all of them in dependency order (so facts
-// propagate exactly as in a real load), and reports any mismatch between
+// applies the analyzer over all of them in dependency order, as in a
+// real load, and reports any mismatch between
 // expected and actual diagnostics as test failures. Expectations are
 // honored in every loaded package, not just the named one — a fixture
 // can assert diagnostics in its dependencies.

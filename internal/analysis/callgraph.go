@@ -2,18 +2,12 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// Cheap interprocedural call graph. Interprocedural analyses here do not
-// need a sound whole-program graph (no SSA, no pointer analysis); they
-// need the statically obvious edges — calls whose callee is a named
-// function or method resolved by the type checker. Calls through
-// function values, interface methods, or deferred closures have no edge:
-// analyzers built on this (determinism) document that approximation and
-// the simulator's conventions keep the interesting paths — the
-// instruction-execution core, the serializers — free of such indirection.
+// Function declarations and statically resolved callees, the two views
+// of the type-checked syntax that typederr needs: which functions a
+// package declares, and which named function or method a call invokes.
 
 // FuncDecl pairs a function's type-checker object with its syntax.
 type FuncDecl struct {
@@ -63,339 +57,4 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// Callees returns the distinct statically resolved callees under root,
-// in source order.
-func Callees(info *types.Info, root ast.Node) []*types.Func {
-	var out []*types.Func
-	seen := make(map[*types.Func]bool)
-	ast.Inspect(root, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fn := Callee(info, call); fn != nil && !seen[fn] {
-			seen[fn] = true
-			out = append(out, fn)
-		}
-		return true
-	})
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Function-value edges. The dense jump table the perf phase introduces —
-// `var execTable [256]execFn` filled by register() and dispatched with
-// `fn(m)` — has no statically resolvable callee, so the cheap graph above
-// is blind to it. The type-based approximation here recovers those edges:
-// every function, method or literal that is *used as a value of a named
-// function type* is a candidate callee of every dynamic call through an
-// expression of that type. The named type is the license — the simulator's
-// handler tables are all declared with one (execFn), while incidental
-// func-typed plumbing (injection samplers, OnInstruction hooks) uses
-// anonymous types and stays out, which DESIGN.md §13 documents as the
-// approximation's soundness boundary.
-
-// FuncValue is one candidate callee of a dynamic call through a named
-// function type: a declared function/method (Fn) or a literal (Lit).
-type FuncValue struct {
-	Fn  *types.Func  // nil when the value is a literal
-	Lit *ast.FuncLit // nil when the value is a declared function
-	Pkg *Package     // package the value appears in
-	Pos token.Pos    // where the value is used as a value
-}
-
-// FuncValues collects, over pkgs in slice order, every function value
-// assigned, passed, stored or returned at a *named* function type, keyed
-// by that type's name object. Candidates are deduplicated and kept in
-// source order, so consumers iterating them are deterministic.
-func FuncValues(pkgs []*Package) map[*types.TypeName][]FuncValue {
-	c := &funcValueCollector{
-		out:  make(map[*types.TypeName][]FuncValue),
-		seen: make(map[*types.TypeName]map[any]bool),
-	}
-	for _, pkg := range pkgs {
-		c.pkg = pkg
-		WalkWithStack(pkg, func(stack []ast.Node, n ast.Node) {
-			c.node(stack, n)
-		})
-	}
-	return c.out
-}
-
-type funcValueCollector struct {
-	pkg  *Package
-	out  map[*types.TypeName][]FuncValue
-	seen map[*types.TypeName]map[any]bool // per-type dedup: *types.Func or *ast.FuncLit
-}
-
-// NamedFuncType returns the name object of t when t is a named (or
-// aliased) type whose underlying type is a function signature, else nil.
-func NamedFuncType(t types.Type) *types.TypeName {
-	if t == nil {
-		return nil
-	}
-	named, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return nil
-	}
-	if _, ok := named.Underlying().(*types.Signature); !ok {
-		return nil
-	}
-	return named.Obj()
-}
-
-// add records expr as a candidate of target's named function type, when
-// expr is a function literal or a reference to a declared function.
-func (c *funcValueCollector) add(expr ast.Expr, target types.Type) {
-	tn := NamedFuncType(target)
-	if tn == nil {
-		return
-	}
-	var key any
-	fv := FuncValue{Pkg: c.pkg}
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.FuncLit:
-		fv.Lit, fv.Pos, key = e, e.Pos(), e
-	case *ast.Ident:
-		fn, ok := c.pkg.Info.Uses[e].(*types.Func)
-		if !ok {
-			return
-		}
-		fv.Fn, fv.Pos, key = fn, e.Pos(), fn
-	case *ast.SelectorExpr:
-		fn, ok := c.pkg.Info.Uses[e.Sel].(*types.Func)
-		if !ok {
-			return
-		}
-		fv.Fn, fv.Pos, key = fn, e.Pos(), fn
-	default:
-		return
-	}
-	if c.seen[tn] == nil {
-		c.seen[tn] = make(map[any]bool)
-	}
-	if c.seen[tn][key] {
-		return
-	}
-	c.seen[tn][key] = true
-	c.out[tn] = append(c.out[tn], fv)
-}
-
-func (c *funcValueCollector) node(stack []ast.Node, n ast.Node) {
-	info := c.pkg.Info
-	switch n := n.(type) {
-	case *ast.CallExpr:
-		if tv, ok := info.Types[n.Fun]; ok && tv.IsType() && len(n.Args) == 1 {
-			c.add(n.Args[0], tv.Type) // explicit conversion execFn(f)
-			return
-		}
-		fn := Callee(info, n)
-		if fn == nil {
-			return
-		}
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok {
-			return
-		}
-		for i, arg := range n.Args {
-			c.add(arg, paramType(sig, i))
-		}
-	case *ast.AssignStmt:
-		if len(n.Lhs) != len(n.Rhs) {
-			return
-		}
-		for i, rhs := range n.Rhs {
-			if t := info.TypeOf(n.Lhs[i]); t != nil {
-				c.add(rhs, t)
-			}
-		}
-	case *ast.ValueSpec:
-		for i, v := range n.Values {
-			if i < len(n.Names) {
-				if obj := info.Defs[n.Names[i]]; obj != nil {
-					c.add(v, obj.Type())
-				}
-			}
-		}
-	case *ast.CompositeLit:
-		t := info.TypeOf(n)
-		if t == nil {
-			return
-		}
-		c.compositeElems(n, t)
-	case *ast.ReturnStmt:
-		sig := enclosingSignature(c.pkg, stack)
-		if sig == nil {
-			return
-		}
-		for i, r := range n.Results {
-			if i < sig.Results().Len() {
-				c.add(r, sig.Results().At(i).Type())
-			}
-		}
-	}
-}
-
-// compositeElems records the elements of a composite literal against the
-// element/value/field types of the literal's type.
-func (c *funcValueCollector) compositeElems(lit *ast.CompositeLit, t types.Type) {
-	switch u := types.Unalias(t).Underlying().(type) {
-	case *types.Array:
-		for _, el := range lit.Elts {
-			c.add(elemValue(el), u.Elem())
-		}
-	case *types.Slice:
-		for _, el := range lit.Elts {
-			c.add(elemValue(el), u.Elem())
-		}
-	case *types.Map:
-		for _, el := range lit.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				c.add(kv.Value, u.Elem())
-			}
-		}
-	case *types.Struct:
-		for i, el := range lit.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				if key, ok := kv.Key.(*ast.Ident); ok {
-					if f, ok := c.pkg.Info.Uses[key].(*types.Var); ok {
-						c.add(kv.Value, f.Type())
-					}
-				}
-				continue
-			}
-			if i < u.NumFields() {
-				c.add(el, u.Field(i).Type())
-			}
-		}
-	}
-}
-
-// elemValue unwraps the value of a possibly-keyed composite element.
-func elemValue(el ast.Expr) ast.Expr {
-	if kv, ok := el.(*ast.KeyValueExpr); ok {
-		return kv.Value
-	}
-	return el
-}
-
-// paramType returns the type of argument i of a call to sig, expanding
-// the variadic tail.
-func paramType(sig *types.Signature, i int) types.Type {
-	np := sig.Params().Len()
-	if sig.Variadic() && i >= np-1 {
-		if s, ok := sig.Params().At(np - 1).Type().(*types.Slice); ok {
-			return s.Elem()
-		}
-		return nil
-	}
-	if i < np {
-		return sig.Params().At(i).Type()
-	}
-	return nil
-}
-
-// enclosingSignature resolves the signature of the innermost function
-// declaration or literal on the stack.
-func enclosingSignature(pkg *Package, stack []ast.Node) *types.Signature {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch fn := stack[i].(type) {
-		case *ast.FuncLit:
-			if tv, ok := pkg.Info.Types[ast.Expr(fn)]; ok {
-				if sig, ok := tv.Type.(*types.Signature); ok {
-					return sig
-				}
-			}
-			return nil
-		case *ast.FuncDecl:
-			if obj, ok := pkg.Info.Defs[fn.Name].(*types.Func); ok {
-				return obj.Type().(*types.Signature)
-			}
-			return nil
-		}
-	}
-	return nil
-}
-
-// DynamicFuncType classifies a call with no static callee: when the call
-// goes through an expression whose type is a named function type, it
-// returns that type's name object (the key into FuncValues). Interface
-// method calls and calls through anonymous func types return nil.
-func DynamicFuncType(info *types.Info, call *ast.CallExpr) *types.TypeName {
-	if Callee(info, call) != nil {
-		return nil
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if s, ok := info.Selections[sel]; ok && s.Kind() == types.MethodVal {
-			return nil // a method call, not a function value
-		}
-	}
-	tv, ok := info.Types[call.Fun]
-	if !ok || tv.IsType() {
-		return nil
-	}
-	return NamedFuncType(tv.Type)
-}
-
-// ModuleInterfaceMethods resolves an interface method call against the
-// analyzed packages (class-hierarchy style): when the receiver's static
-// type is an interface *declared in pkgs*, it returns the concrete
-// methods of every named type in pkgs that implements the interface, in
-// package/declaration order. Interfaces declared outside the load
-// (error, io.Reader) return nil — their implementors are unbounded.
-func ModuleInterfaceMethods(pkgs []*Package, pkg *Package, call *ast.CallExpr) []*types.Func {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	s, ok := pkg.Info.Selections[sel]
-	if !ok || s.Kind() != types.MethodVal || !types.IsInterface(s.Recv().Underlying()) {
-		return nil
-	}
-	named, ok := types.Unalias(s.Recv()).(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return nil
-	}
-	declared := false
-	for _, p := range pkgs {
-		if p.Types == named.Obj().Pkg() {
-			declared = true
-			break
-		}
-	}
-	if !declared {
-		return nil
-	}
-	iface, ok := named.Underlying().(*types.Interface)
-	if !ok {
-		return nil
-	}
-	var out []*types.Func
-	for _, p := range pkgs {
-		scope := p.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if ok2 := ok && !tn.IsAlias(); !ok2 {
-				continue
-			}
-			t := tn.Type()
-			if types.IsInterface(t.Underlying()) {
-				continue
-			}
-			impl := types.Type(t)
-			if !types.Implements(impl, iface) {
-				impl = types.NewPointer(t)
-				if !types.Implements(impl, iface) {
-					continue
-				}
-			}
-			obj, _, _ := types.LookupFieldOrMethod(impl, true, named.Obj().Pkg(), sel.Sel.Name)
-			if m, ok := obj.(*types.Func); ok {
-				out = append(out, m)
-			}
-		}
-	}
-	return out
 }

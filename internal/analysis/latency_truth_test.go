@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/constant"
 	"go/types"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -50,7 +51,7 @@ func TestLatencyTruth(t *testing.T) {
 	rows := rowStrings(t, pkgs)
 
 	var diags []Diagnostic
-	pass := &Pass{Analyzer: ExecTable, Fset: pkgs[0].Fset, All: pkgs, diags: &diags, allows: buildAllowIndex(pkgs)}
+	pass := &Pass{Analyzer: ExecTable, Fset: pkgs[0].Fset, All: pkgs, diags: &diags}
 	static := make(map[string]string) // opcode → row of its registering file
 	for _, pkg := range pkgs {
 		for _, r := range registerCalls(pass, pkg) {
@@ -123,4 +124,28 @@ func rowStrings(t *testing.T, pkgs []*Package) map[string]string {
 	}
 	t.Fatal("internal/ucode is not in the load")
 	return nil
+}
+
+// loadModule returns the module root and every package under it.
+func loadModule(t *testing.T) (string, []*Package) {
+	t.Helper()
+	dir, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			break
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			t.Fatal("no go.mod above the test directory")
+		}
+		dir = parent
+	}
+	pkgs, err := LoadModule(dir, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir, pkgs
 }

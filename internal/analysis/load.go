@@ -158,8 +158,7 @@ func (c *chainImporter) Import(path string) (*types.Package, error) {
 
 // LoadTestdataPackages loads the package rooted at srcRoot/pkgPath and
 // every local package it (transitively) imports, returning all of them
-// in dependency order — the same order the engine runs passes in, so
-// fact-passing analyzers behave exactly as they do on the real module.
+// in dependency order, the order LoadModule gives the engine.
 // Imports are resolved first against sibling directories under srcRoot
 // (mirroring x/tools analysistest's GOPATH layout), then against GOROOT
 // source.

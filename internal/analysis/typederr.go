@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/token"
@@ -230,4 +231,17 @@ func isErrorInterface(t types.Type) bool {
 	}
 	_, ok := t.Underlying().(*types.Interface)
 	return ok && isErrorType(t)
+}
+
+// funcString renders fn for a diagnostic: (recv).Name for a method,
+// pkg.Name for a function.
+func funcString(fn *types.Func) string {
+	sig, _ := fn.Type().(*types.Signature)
+	if sig != nil && sig.Recv() != nil {
+		return fmt.Sprintf("(%s).%s", types.TypeString(sig.Recv().Type(), nil), fn.Name())
+	}
+	if fn.Pkg() != nil {
+		return fn.Pkg().Name() + "." + fn.Name()
+	}
+	return fn.Name()
 }

@@ -1,14 +1,12 @@
-// Package bench is the ledger behind BENCH_step.json and BENCH_farm.json:
-// append-only records of how fast the reproduction itself runs, one entry
-// per `make bench` run. The paper's own tables are regenerated by
-// bench_test.go; these ledgers track the cost of producing them —
-// BENCH_step.json the single-machine stepping loop (simulated cycles per
-// wall second, nanoseconds per cycle, and allocations per cycle for each
-// of the five workload profiles), BENCH_farm.json the fleet supervisor's
-// aggregate throughput (merged cycles per wall second across a worker
-// pool, with rescue and shed counts) — so a regression in either shows up
-// as a diff in a committed file, not as a vague feeling that CI got
-// slower.
+// Package bench is the ledger behind BENCH_farm.json and BENCH_lint.json:
+// append-only records of what two parts of the reproduction cost, one
+// entry per `make bench` or `make lint-bench` run. BENCH_farm.json holds
+// the fleet supervisor's aggregate throughput (merged cycles per wall
+// second across a worker pool, with rescue and shed counts),
+// BENCH_lint.json the analyzer suite's wall time and findings per
+// analyzer, so a regression in either shows up as a diff in a committed
+// file, not as a vague feeling that CI got slower. The stepping rate of
+// the five profiles is perfbench's, which records its host and spread.
 package bench
 
 import (
@@ -19,29 +17,6 @@ import (
 
 	"vax780/internal/checkpoint"
 )
-
-// ProfileResult is the measured stepping cost of one workload profile.
-type ProfileResult struct {
-	Name         string  `json:"name"`
-	Cycles       uint64  `json:"cycles"`
-	Instructions uint64  `json:"instructions"`
-	Seconds      float64 `json:"seconds"`
-	CyclesPerSec float64 `json:"cycles_per_sec"`
-	NsPerCycle   float64 `json:"ns_per_cycle"`
-	// AllocsPerCycle and BytesPerCycle are heap-allocation rates over the
-	// whole measured run (runtime.MemStats deltas), the number the
-	// hotpath analyzer exists to drive toward zero.
-	AllocsPerCycle float64 `json:"allocs_per_cycle"`
-	BytesPerCycle  float64 `json:"bytes_per_cycle"`
-}
-
-// Entry is one `make bench` run over all five profiles.
-type Entry struct {
-	Date      string          `json:"date"` // YYYY-MM-DD
-	GoVersion string          `json:"go_version"`
-	Budget    uint64          `json:"cycle_budget"` // per profile
-	Profiles  []ProfileResult `json:"profiles"`
-}
 
 // FarmResult is the measured aggregate throughput of one fleet sweep
 // (cmd/vaxfarm semantics): merged cycles across every completed instance
@@ -87,9 +62,7 @@ type AnalyzerCost struct {
 // the wall time of the whole suite run the way `make check` runs it
 // (analysis.Run fans the analyzers out in parallel, so on a multi-core
 // host this lands near the slowest analyzer, not the sum; on one core
-// it records the serial cost), plus the per-analyzer
-// trajectory of a suite big enough (14 analyzers) that its own cost
-// needs a ledger.
+// it records the serial cost), plus the per-analyzer trajectory.
 type LintEntry struct {
 	Date         string         `json:"date"` // YYYY-MM-DD
 	GoVersion    string         `json:"go_version"`
@@ -97,11 +70,6 @@ type LintEntry struct {
 	LoadSeconds  float64        `json:"load_seconds"`
 	SuiteSeconds float64        `json:"suite_seconds,omitempty"`
 	Costs        []AnalyzerCost `json:"costs"`
-}
-
-// Ledger is the whole committed BENCH_step.json file.
-type Ledger struct {
-	Entries []Entry `json:"entries"`
 }
 
 // LintLedger is the whole committed BENCH_lint.json file.
@@ -114,21 +82,14 @@ type FarmLedger struct {
 	Entries []FarmEntry `json:"entries"`
 }
 
-// Load reads the stepping-cost ledger at path; a missing file is an empty
-// ledger, any other failure (including malformed JSON) is an error so a
-// corrupted ledger is never silently truncated to one entry.
-func Load(path string) (*Ledger, error) { return loadLedger[Ledger](path) }
-
-// LoadFarm reads the farm-throughput ledger at path under the same
-// missing-file and corruption rules as Load.
+// LoadFarm reads the farm-throughput ledger at path; a missing file is
+// an empty ledger, any other failure (including malformed JSON) is an
+// error so a corrupted ledger is never silently truncated to one entry.
 func LoadFarm(path string) (*FarmLedger, error) { return loadLedger[FarmLedger](path) }
 
 // LoadLint reads the analyzer-cost ledger at path under the same
-// missing-file and corruption rules as Load.
+// missing-file and corruption rules as LoadFarm.
 func LoadLint(path string) (*LintLedger, error) { return loadLedger[LintLedger](path) }
-
-// Append adds one run to the ledger.
-func (l *Ledger) Append(e Entry) { l.Entries = append(l.Entries, e) }
 
 // Append adds one farm sweep to the ledger.
 func (l *FarmLedger) Append(e FarmEntry) { l.Entries = append(l.Entries, e) }
@@ -136,14 +97,11 @@ func (l *FarmLedger) Append(e FarmEntry) { l.Entries = append(l.Entries, e) }
 // Append adds one suite run to the ledger.
 func (l *LintLedger) Append(e LintEntry) { l.Entries = append(l.Entries, e) }
 
-// Write rewrites the ledger at path, indented and newline-terminated so
-// the committed file diffs line by line.
-func (l *Ledger) Write(path string) error { return writeLedger(path, l) }
-
-// Write rewrites the farm ledger at path, same conventions as Ledger.
+// Write rewrites the farm ledger at path, indented and newline-terminated
+// so the committed file diffs line by line.
 func (l *FarmLedger) Write(path string) error { return writeLedger(path, l) }
 
-// Write rewrites the lint ledger at path, same conventions as Ledger.
+// Write rewrites the lint ledger at path, same conventions as FarmLedger.
 func (l *LintLedger) Write(path string) error { return writeLedger(path, l) }
 
 func loadLedger[L any](path string) (*L, error) {

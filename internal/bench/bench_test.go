@@ -7,10 +7,10 @@ import (
 )
 
 func TestLedgerRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_step.json")
+	path := filepath.Join(t.TempDir(), "BENCH_farm.json")
 
 	// A missing ledger is empty, not an error.
-	l, err := Load(path)
+	l, err := LoadFarm(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,45 +18,45 @@ func TestLedgerRoundTrip(t *testing.T) {
 		t.Fatalf("fresh ledger has %d entries", len(l.Entries))
 	}
 
-	l.Append(Entry{
+	l.Append(FarmEntry{
 		Date:      "2026-08-08",
 		GoVersion: "go1.0-test",
 		Budget:    1000,
-		Profiles: []ProfileResult{{
-			Name: "timesharing-research", Cycles: 1000, Instructions: 96,
-			Seconds: 0.5, CyclesPerSec: 2000, NsPerCycle: 500000,
-			AllocsPerCycle: 0.001, BytesPerCycle: 0.25,
-		}},
+		Chaos:     "1@3",
+		Farm: FarmResult{
+			Instances: 10, Workers: 4, Seconds: 0.5, CyclesMerged: 10_000,
+			CyclesPerSec: 20_000, Completed: 10, Rescued: 1, WorkersLost: 1,
+		},
 	})
 	if err := l.Write(path); err != nil {
 		t.Fatal(err)
 	}
 
 	// Append-on-reload: the second run lands after the first.
-	l2, err := Load(path)
+	l2, err := LoadFarm(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2.Append(Entry{Date: "2026-08-09", GoVersion: "go1.0-test", Budget: 1000})
+	l2.Append(FarmEntry{Date: "2026-08-09", GoVersion: "go1.0-test", Budget: 1000})
 	if err := l2.Write(path); err != nil {
 		t.Fatal(err)
 	}
-	l3, err := Load(path)
+	l3, err := LoadFarm(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(l3.Entries) != 2 || l3.Entries[0].Date != "2026-08-08" || l3.Entries[1].Date != "2026-08-09" {
 		t.Fatalf("ledger after two writes: %+v", l3.Entries)
 	}
-	if got := l3.Entries[0].Profiles[0]; got.Name != "timesharing-research" || got.AllocsPerCycle != 0.001 {
-		t.Fatalf("profile row did not round-trip: %+v", got)
+	if got := l3.Entries[0]; got.Chaos != "1@3" || got.Farm.Rescued != 1 || got.Farm.CyclesPerSec != 20_000 {
+		t.Fatalf("farm entry did not round-trip: %+v", got)
 	}
 
 	// A corrupted ledger is an error, never silently replaced.
 	if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); err == nil {
-		t.Fatal("Load accepted a truncated ledger")
+	if _, err := LoadFarm(path); err == nil {
+		t.Fatal("LoadFarm accepted a truncated ledger")
 	}
 }

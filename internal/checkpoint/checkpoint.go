@@ -26,10 +26,13 @@
 // length or checksum test and is reported as ErrCorrupt; the gob decoder
 // only ever sees checksum-verified bytes.
 //
-// The format version is 2. Version 2 stores physical memory as its
-// nonzero 512-byte frames (mem.MemoryState) instead of the whole array,
-// so a snapshot of a booted 8 MB machine is a few hundred KB. Decode
-// refuses version-1 snapshots with ErrBadVersion.
+// The format version is 3. Since version 2, physical memory travels as
+// its nonzero 512-byte frames (mem.MemoryState) instead of the whole
+// array, so a snapshot of a booted 8 MB machine is a few hundred KB.
+// Version 3 holds the OS's per-process CPU time as a slice in charge
+// order (vmos.CPUCharge) instead of a map, which gob wrote in random
+// order, so one state always encodes to the same bytes. Decode refuses
+// snapshots of any other version with ErrBadVersion.
 package checkpoint
 
 import (
@@ -49,7 +52,7 @@ import (
 
 // FormatVersion is the current snapshot format version. Decode rejects
 // snapshots from other versions (no silent cross-version resume).
-const FormatVersion = 2
+const FormatVersion = 3
 
 var magic = [8]byte{'V', 'A', 'X', '7', '8', '0', 'C', 'P'}
 

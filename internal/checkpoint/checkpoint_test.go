@@ -15,6 +15,7 @@ import (
 
 	"vax780/internal/cpu"
 	"vax780/internal/fault"
+	"vax780/internal/vmos"
 )
 
 // testSnapshot builds a small but non-trivial snapshot: enough populated
@@ -36,7 +37,7 @@ func testSnapshot(cycle uint64) *Snapshot {
 	s.CPU.Cycle = cycle
 	s.CPU.Instret = cycle / 7
 	s.OS.NextClock = cycle + 100
-	s.OS.CPUTime = map[uint32]uint64{0x200: cycle / 2}
+	s.OS.CPUTime = []vmos.CPUCharge{{PCB: 0x200, Cycles: cycle / 2}}
 	s.Monitor.Running = true
 	s.Monitor.Hist.Counts[100] = 42
 	return s
@@ -91,21 +92,23 @@ func TestDecodeRejectsDamage(t *testing.T) {
 }
 
 // TestDecodeRejectsOtherVersion rebuilds a structurally valid snapshot
-// claiming a future format version (checksum recomputed, so only the
-// version check can object) and requires ErrBadVersion — no silent
-// cross-version resume.
+// claiming the previous and a future format version (checksum
+// recomputed, so only the version check can object) and requires
+// ErrBadVersion — no silent cross-version resume.
 func TestDecodeRejectsOtherVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, testSnapshot(1000)); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	data := buf.Bytes()
-	binary.LittleEndian.PutUint32(data[8:], FormatVersion+1)
-	sum := sha256.Sum256(data[:len(data)-trailerLen])
-	copy(data[len(data)-trailerLen:], sum[:])
-	_, err := Decode(bytes.NewReader(data))
-	if !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("want ErrBadVersion, got %v", err)
+	for _, v := range []uint32{FormatVersion - 1, FormatVersion + 1} {
+		var buf bytes.Buffer
+		if err := Encode(&buf, testSnapshot(1000)); err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		data := buf.Bytes()
+		binary.LittleEndian.PutUint32(data[8:], v)
+		sum := sha256.Sum256(data[:len(data)-trailerLen])
+		copy(data[len(data)-trailerLen:], sum[:])
+		_, err := Decode(bytes.NewReader(data))
+		if !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("version %d: want ErrBadVersion, got %v", v, err)
+		}
 	}
 }
 

@@ -2,14 +2,19 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"testing"
 )
 
-// FuzzCheckpointLoad feeds arbitrary bytes to the snapshot decoder. The
-// contract: Decode never panics; it returns either an error or a
-// snapshot, and a snapshot it returns re-encodes successfully (no
-// half-valid states escape). Seeds cover the interesting neighborhoods:
-// a pristine snapshot, truncations, and bit flips in each region.
+// FuzzCheckpointLoad feeds arbitrary bytes to the snapshot decoder, twice:
+// as they are, and as the payload of a freshly checksummed envelope. A
+// mutated input almost never passes the SHA-256 check, so only the second
+// form lets the gob decoder see mutated payloads. The contract: Decode
+// never panics; it returns either an error or a snapshot, and a snapshot
+// it returns re-encodes successfully (no half-valid states escape).
+// Seeds cover the interesting neighborhoods: a pristine snapshot,
+// truncations, bit flips in each region, and a pristine payload.
 func FuzzCheckpointLoad(f *testing.F) {
 	var buf bytes.Buffer
 	if err := Encode(&buf, testSnapshot(42_000)); err != nil {
@@ -29,18 +34,33 @@ func FuzzCheckpointLoad(f *testing.F) {
 	}
 	f.Add(append(append([]byte(nil), valid...), 0xba))
 	f.Add([]byte("VAX780CP but then garbage follows the magic number here"))
+	f.Add(valid[headerLen : len(valid)-trailerLen])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Decode(bytes.NewReader(data))
-		if err != nil {
-			if s != nil {
-				t.Fatalf("Decode returned both a snapshot and error %v", err)
+		for _, in := range [][]byte{data, seal(data)} {
+			s, err := Decode(bytes.NewReader(in))
+			if err != nil {
+				if s != nil {
+					t.Fatalf("Decode returned both a snapshot and error %v", err)
+				}
+				continue
 			}
-			return
-		}
-		var out bytes.Buffer
-		if err := Encode(&out, s); err != nil {
-			t.Fatalf("decoded snapshot does not re-encode: %v", err)
+			var out bytes.Buffer
+			if err := Encode(&out, s); err != nil {
+				t.Fatalf("decoded snapshot does not re-encode: %v", err)
+			}
 		}
 	})
+}
+
+// seal wraps payload in the envelope Encode writes: header, payload and
+// a checksum that matches.
+func seal(payload []byte) []byte {
+	b := make([]byte, headerLen, headerLen+len(payload)+trailerLen)
+	copy(b, magic[:])
+	binary.LittleEndian.PutUint32(b[8:], FormatVersion)
+	binary.LittleEndian.PutUint64(b[12:], uint64(len(payload)))
+	b = append(b, payload...)
+	sum := sha256.Sum256(b)
+	return append(b, sum[:]...)
 }

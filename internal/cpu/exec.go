@@ -128,7 +128,6 @@ func (m *Machine) StepInstruction() {
 	// set (the architectural arithmetic trap).
 	if m.PSL&pswIV != 0 && m.PSL&vax.PSLV != 0 && !m.halted && m.runErr == nil && !m.instAborted {
 		m.PSL &^= vax.PSLV
-		//vaxlint:allow hotpath -- coarse: the compiler proves this trap-parameter slice stack-resident (deliverException never leaks it; pinned in TestEscapeGroundTruth)
 		m.deliverException(SCBArithTrap, []uint32{arithIntOvf})
 	}
 	// Production microcode carries patches: a patched location costs one
@@ -303,12 +302,10 @@ func (m *Machine) deliverException(vec int, params []uint32) {
 }
 
 func (m *Machine) pageFault(va uint32) {
-	//vaxlint:allow hotpath -- coarse: the compiler proves this fault-parameter slice stack-resident (deliverException never leaks it; pinned in TestEscapeGroundTruth)
 	m.deliverException(SCBTransInval, []uint32{va})
 }
 
 func (m *Machine) memMgmtFault(va uint32, err error) {
-	//vaxlint:allow hotpath -- coarse: the compiler proves this fault-parameter slice stack-resident (deliverException never leaks it; pinned in TestEscapeGroundTruth)
 	m.deliverException(SCBAccessViol, []uint32{va})
 }
 

@@ -36,12 +36,18 @@ func (m *Machine) writePacked(addr uint32, digits int, v int64) {
 		v = -v
 	}
 	n := packedBytes(digits)
-	// Build digits least-significant first.
-	//vaxlint:allow hotpath -- bounded: one ≤32-byte slice per decimal-string instruction, ~0.02% of the Table 4 mix
-	ds := make([]byte, digits+1)
-	for i := 0; i <= digits; i++ {
+	// Build digits least-significant first. An int64 has at most 19
+	// decimal digits, so every digit past the array is zero.
+	var ds [20]byte
+	for i := range ds {
 		ds[i] = byte(v % 10)
 		v /= 10
+	}
+	digit := func(k int) byte {
+		if k < len(ds) {
+			return ds[k]
+		}
+		return 0
 	}
 	for i := n - 1; i >= 0; i-- {
 		var b byte
@@ -52,9 +58,7 @@ func (m *Machine) writePacked(addr uint32, digits int, v int64) {
 			}
 			b = ds[0]<<4 | sign
 		} else {
-			hi := ds[2*(n-1-i)]
-			lo := ds[2*(n-1-i)-1]
-			b = hi<<4 | lo
+			b = digit(2*(n-1-i))<<4 | digit(2*(n-1-i)-1)
 		}
 		m.ticks(uw.deWork, 4)
 		m.dwrite(uw.deWrite, addr+uint32(i), 1, uint64(b))

@@ -77,7 +77,6 @@ func init() {
 		pc := uint32(m.dread(uw.svpctxRead, m.R[vax.SP], 4))
 		psl := uint32(m.dread(uw.svpctxRead, m.R[vax.SP]+4, 4))
 		m.R[vax.SP] += 8
-		//vaxlint:allow hotpath -- cold: one closure per SVPCTX, a Table 7 context-switch event, not a per-cycle cost
 		store := func(slot int, v uint32) {
 			m.tick(uw.svpctxWork)
 			m.cacheWriteRef(uw.svpctxStore, pcb+PCBOffset(slot))
@@ -102,7 +101,6 @@ func init() {
 		m.tick(uw.ldpctxEntry)
 		m.ticks(uw.ldpctxWork, 3)
 		pcb := m.ipr[IPRSlotPCBB]
-		//vaxlint:allow hotpath -- cold: one closure per LDPCTX, a Table 7 context-switch event, not a per-cycle cost
 		load := func(slot int) uint32 {
 			// The PCB is addressed physically (PCBB is a physical address).
 			return m.readPhys(uw.ldpctxLoad, pcb+PCBOffset(slot))

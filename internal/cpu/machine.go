@@ -305,8 +305,6 @@ func (m *Machine) SetWatchdog(cycles uint64) {
 // watchdogExpire stops the machine with a livelock diagnosis. The failure
 // µPC is the location the machine was stuck at; the error carries a state
 // dump taken at expiry.
-//
-//vaxlint:allow hotpath -- cold: fires at most once per run, at livelock diagnosis; the machine stops
 func (m *Machine) watchdogExpire() {
 	if m.runErr != nil {
 		return
@@ -383,7 +381,8 @@ func (m *Machine) Run(maxCycles uint64) RunResult {
 // itself carries no sticky error and can keep running).
 func (m *Machine) RunCtx(ctx context.Context, maxCycles uint64) RunResult {
 	if m.dm == nil {
-		//vaxlint:allow hotpath -- cold: once per machine, at its first RunCtx; single-stepping harnesses never allocate the memo
+		// Once per machine, at its first RunCtx: single-stepping
+		// harnesses never allocate the memo.
 		m.dm = new(dmemo)
 	}
 	start := m.cycle
@@ -427,8 +426,6 @@ func (m *Machine) Reason() HaltReason { return m.haltReason }
 // fail stops the machine with a structured *MachineError recording the
 // failing µPC and cycle. Once failed, further Steps are inert and the
 // first error sticks.
-//
-//vaxlint:allow hotpath -- cold: terminal failure path; the machine stops after the first error and further Steps are inert
 func (m *Machine) fail(format string, args ...any) {
 	if m.runErr == nil {
 		m.runErr = &MachineError{

@@ -105,7 +105,7 @@ func TestPropertySpecifierEffectiveAddress(t *testing.T) {
 		return true
 	}
 	// A nil quick.Config Rand is seeded from the clock; seed it so a
-	// failing input reproduces on re-run (vaxlint's determinism contract
+	// failing input reproduces on re-run (the determinism contract
 	// applied to the tests themselves).
 	if err := quick.Check(f, &quick.Config{MaxCount: 120, Rand: rand.New(rand.NewSource(0x780))}); err != nil {
 		t.Error(err)

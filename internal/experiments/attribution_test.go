@@ -204,7 +204,7 @@ func TestAttributionCoverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		add(stepLat(buf, setup))
+		add(stepLat(latCase{buf, setup}))
 	}
 	// Quadword immediates take a second dispatch cycle in either bank.
 	wide := vax.Specifier{Mode: vax.ModeImmediate, Imm: 0x0123456789ABCDEF}
@@ -212,12 +212,12 @@ func TestAttributionCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	add(stepLat(append(movq, 0x52), func(*cpu.Machine) {}))
+	add(stepLat(latCase{append(movq, 0x52), func(*cpu.Machine) {}}))
 	cmpd, err := vax.EncodeSpecifier([]byte{byte(vax.CMPD), 0x52}, wide, vax.TypeFloatD) // CMPD R2, I^#d
 	if err != nil {
 		t.Fatal(err)
 	}
-	add(stepLat(cmpd, func(*cpu.Machine) {}))
+	add(stepLat(latCase{cmpd, func(*cpu.Machine) {}}))
 
 	runs, err := profileRuns()
 	if err != nil {

@@ -102,9 +102,9 @@ var latVariants = [...]latVariant{
 }
 
 // latProbe is the measurement histogram: exec-channel counts, in a dense
-// table — Count runs once per machine cycle, inside the hot path the
-// hotpath analyzer prices. Stall cycles are timing, not attribution, so
-// no cell holds them; the ledger takes them for the counter identities.
+// table — Count runs once per machine cycle, inside the stepping loop.
+// Stall cycles are timing, not attribution, so no cell holds them; the
+// ledger takes them for the counter identities.
 type latProbe struct {
 	counts [ucode.StoreSize]uint64
 	ledger classLedger
@@ -322,14 +322,28 @@ func readLiteral(info *vax.OpInfo, i int, v latVariant) int32 {
 	return 1
 }
 
-// stepLat single-steps the instruction in buf on a fresh measurement
-// machine, prepared by prep, and returns its probe. A step whose counts
-// break a counter identity (attribution.go) is an error.
-func stepLat(buf []byte, prep func(*cpu.Machine)) (*latProbe, error) {
+// latCase is one step of the sweep: the instruction's I-stream bytes and
+// the preparation of the machine that runs it.
+type latCase struct {
+	buf  []byte
+	prep func(*cpu.Machine)
+}
+
+// load builds a fresh measurement machine prepared for the case, with the
+// instruction at latCode and the PC on it.
+func (c latCase) load() (*cpu.Machine, *latProbe) {
 	m, p := newLatMachine()
-	prep(m)
-	m.Mem.Load(latCode, buf)
+	c.prep(m)
+	m.Mem.Load(latCode, c.buf)
 	m.SetPC(latCode)
+	return m, p
+}
+
+// stepLat single-steps the case on a fresh measurement machine and
+// returns its probe. A step whose counts break a counter identity
+// (attribution.go) is an error.
+func stepLat(c latCase) (*latProbe, error) {
+	m, p := c.load()
 	before := readCounters(m)
 	m.StepInstruction()
 	if err := m.Err(); err != nil {
@@ -341,14 +355,23 @@ func stepLat(buf []byte, prep func(*cpu.Machine)) (*latProbe, error) {
 	return p, nil
 }
 
+// opcodeCase is the directed instance of the opcode under variant v.
+func opcodeCase(info *vax.OpInfo, v latVariant) (latCase, error) {
+	buf, err := encodeFor(info, v)
+	if err != nil {
+		return latCase{}, err
+	}
+	return latCase{buf, func(m *cpu.Machine) { prepMachine(m, info, v) }}, nil
+}
+
 // stepOpcode single-steps one directed instance of the opcode under
 // variant v.
 func stepOpcode(info *vax.OpInfo, v latVariant) (*latProbe, error) {
-	buf, err := encodeFor(info, v)
+	c, err := opcodeCase(info, v)
 	if err != nil {
 		return nil, err
 	}
-	p, err := stepLat(buf, func(m *cpu.Machine) { prepMachine(m, info, v) })
+	p, err := stepLat(c)
 	if err != nil {
 		return nil, fmt.Errorf("%s (%s): %w", info.Name, v.name, err)
 	}
@@ -427,14 +450,23 @@ func MeasureModeLatency(mode vax.AddrMode) (Cells, error) {
 	return reduceCells(p, nil, ucode.RowSimple)
 }
 
-// stepMode single-steps the directed TSTL through one addressing mode.
-func stepMode(mode vax.AddrMode) (*latProbe, error) {
+// modeCase is the directed TSTL through one addressing mode.
+func modeCase(mode vax.AddrMode) (latCase, error) {
 	s, setup := modeSpecifier(mode)
 	buf, err := vax.EncodeSpecifier([]byte{byte(vax.TSTL)}, s, vax.TypeLong)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", mode, err)
+		return latCase{}, fmt.Errorf("%s: %w", mode, err)
 	}
-	p, err := stepLat(buf, setup)
+	return latCase{buf, setup}, nil
+}
+
+// stepMode single-steps the directed TSTL through one addressing mode.
+func stepMode(mode vax.AddrMode) (*latProbe, error) {
+	c, err := modeCase(mode)
+	if err != nil {
+		return nil, err
+	}
+	p, err := stepLat(c)
 	if err != nil {
 		return nil, fmt.Errorf("TSTL %s: %w", mode, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -152,4 +153,91 @@ func TestLatencyRowAssertion(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "exec.field.work counted in Table 8 row Field, outside execute row Simple") {
 		t.Errorf("Field-row word counted by ADDL2: got error %v", err)
 	}
+}
+
+// sweepSink keeps TestLatencySweepAllocations' calibration allocation on
+// the heap.
+var sweepSink []byte
+
+// TestLatencySweepAllocations requires every step of the latency sweep —
+// every registered opcode under each variant, and the TSTL through each
+// addressing mode — to allocate nothing on the heap. The profiles'
+// allocation budget (TestStepAllocations, internal/workload) meters a
+// mix in which a rarely run opcode hardly shows; here each one must be
+// clean on its own.
+//
+// Method. runtime.MemStats.Mallocs counts every allocation of the
+// process, so a bracket around one StepInstruction also counts what the
+// runtime and other goroutines allocate meanwhile: plain brackets saw one
+// or two 96-byte allocations on a few of the 1,800-odd steps, at
+// different opcodes each run. An allocation the step itself makes
+// happens every time it runs, so each case is stepped on up to three
+// fresh machines and fails only if every step allocated. A calibration
+// case that allocates once per step must fail, so the method is shown to
+// see a real allocation before its silence is trusted.
+//
+// Guest memory is not the step's cost: a frame's first nonzero store
+// gives it its 512 bytes of storage (DESIGN.md §3), at most once per
+// frame over a machine's life. So every frame of the measurement layout
+// is given storage, its bytes unchanged, before the step; without that
+// the span variant's bit stores into zeroed scratch (BBSS, BBCS, BBSSI,
+// INSV) count one allocation each. TestStepAllocations' budgets cover
+// frame storage in the profiles.
+func TestLatencySweepAllocations(t *testing.T) {
+	type named struct {
+		name string
+		c    latCase
+	}
+	var cases []named
+	for _, code := range cpu.RegisteredOpcodes() {
+		info := vax.Lookup(code)
+		for _, v := range latVariants {
+			c, err := opcodeCase(info, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, named{info.Name + " (" + v.name + ")", c})
+		}
+	}
+	for mode := vax.AddrMode(0); int(mode) < vax.NumAddrModes; mode++ {
+		c, err := modeCase(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, named{"TSTL " + mode.String(), c})
+	}
+
+	calib := cases[0].c
+	if n := stepAllocs(calib, func() { sweepSink = make([]byte, 16) }); n == 0 {
+		t.Fatal("a step that allocates once counted no allocation")
+	}
+	for _, nc := range cases {
+		if n := stepAllocs(nc.c, nil); n > 0 {
+			t.Errorf("%s allocates %d times per step", nc.name, n)
+		}
+	}
+}
+
+// stepAllocs steps the case on up to three fresh machines, running extra
+// (if any) after each step inside the count, and returns the fewest heap
+// allocations one step made; it stops at the first step that made none.
+func stepAllocs(c latCase, extra func()) uint64 {
+	fewest := ^uint64(0)
+	for try := 0; try < 3 && fewest > 0; try++ {
+		m, _ := c.load()
+		for a := uint32(0); a < latStack+8; a += 512 {
+			b := m.Mem.PeekByte(a)
+			m.Mem.SetByte(a, ^b)
+			m.Mem.SetByte(a, b)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m.StepInstruction()
+		if extra != nil {
+			extra()
+		}
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
 }

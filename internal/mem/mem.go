@@ -199,7 +199,9 @@ func (m *Memory) frame(f uint32) *[frameSize]byte {
 	if p := m.frames[f]; p != nil {
 		return p
 	}
-	//vaxlint:allow hotpath -- bounded: at most one 512-byte frame per frame of the array over a machine's life, on its first nonzero store; the five profiles write 834–1,024 of 16,384
+	// At most one 512-byte frame per frame of the array over a machine's
+	// life, on its first nonzero store; the five profiles write 834–1,024
+	// of 16,384.
 	p := new([frameSize]byte)
 	m.frames[f] = p
 	return p

@@ -177,7 +177,8 @@ func (w *WriteBuffer) Write(now uint64) (stall uint64) {
 	}
 	accepted := now + stall
 	w.dropDrained(accepted)
-	//vaxlint:allow hotpath -- bounded: capacity depth is preallocated at construction and dropDrained keeps len < depth here, so this append never grows
+	// Capacity depth is preallocated at construction and dropDrained keeps
+	// len < depth here, so this append never grows.
 	w.drains = append(w.drains, w.sbi.Write(accepted))
 	w.stats.Writes++
 	return stall

@@ -111,8 +111,6 @@ func (f *Fault) Error() string {
 // fault builds the error for a failed translation. Kept out of line so the
 // walk's success path allocates nothing: every caller unwinds into the
 // fault-delivery microcode, which costs hundreds of cycles anyway.
-//
-//vaxlint:allow hotpath -- cold: runs only when a translation faults; the fault-delivery microcode dominates
 func fault(va uint32, kind FaultKind, detail string) error {
 	return &Fault{VA: va, Kind: kind, Detail: detail}
 }

@@ -116,7 +116,8 @@ func (r *Recorder) Detach(m *cpu.Machine) {
 	m.Cache.SetTracer(nil)
 }
 
-//vaxlint:allow hotpath -- cold: a Recorder is attached only in trace captures, never in measurement runs; events are bounded by MaxEvents
+// add records one event. A Recorder is attached only in trace captures,
+// never in measurement runs, and events are bounded by MaxEvents.
 func (r *Recorder) add(e Event) {
 	if r.MaxEvents > 0 && len(r.Trace.Events) >= r.MaxEvents {
 		r.Truncated = true

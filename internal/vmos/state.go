@@ -3,7 +3,6 @@ package vmos
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"vax780/internal/cpu"
 )
@@ -26,11 +25,17 @@ type State struct {
 	DiskDue    []uint64
 	LastCycle  uint64
 	LastPCB    uint32
-	CPUTime    map[uint32]uint64
+	CPUTime    []CPUCharge // in the order of each process's first charge
 }
 
-// ExportState captures the scheduler and device state (slices and maps
-// are copied; the system can keep running).
+// CPUCharge is the CPU time charged to one process, by its PCB.
+type CPUCharge struct {
+	PCB    uint32
+	Cycles uint64
+}
+
+// ExportState captures the scheduler and device state (slices are
+// copied; the system can keep running).
 func (s *System) ExportState() (State, error) {
 	if !s.booted {
 		return State{}, fmt.Errorf("vmos: cannot checkpoint before boot")
@@ -43,10 +48,10 @@ func (s *System) ExportState() (State, error) {
 		DiskDue:    append([]uint64(nil), s.diskDue...),
 		LastCycle:  s.lastCycle,
 		LastPCB:    s.lastPCB,
-		CPUTime:    make(map[uint32]uint64, len(s.charged)),
+		CPUTime:    make([]CPUCharge, len(s.charged)),
 	}
 	for i, pcb := range s.charged {
-		st.CPUTime[pcb] = s.cpuTime[i]
+		st.CPUTime[i] = CPUCharge{PCB: pcb, Cycles: s.cpuTime[i]}
 	}
 	return st, nil
 }
@@ -65,15 +70,10 @@ func (s *System) ImportState(st State) error {
 	s.diskDue = append([]uint64(nil), st.DiskDue...)
 	s.lastCycle = st.LastCycle
 	s.lastPCB = st.LastPCB
-	s.charged = make([]uint32, 0, len(st.CPUTime))
-	//vaxlint:allow determinism -- collects the keys, which are sorted before use
-	for pcb := range st.CPUTime {
-		s.charged = append(s.charged, pcb)
-	}
-	slices.Sort(s.charged)
-	s.cpuTime = make([]uint64, len(s.charged))
-	for i, pcb := range s.charged {
-		s.cpuTime[i] = st.CPUTime[pcb]
+	s.charged = make([]uint32, len(st.CPUTime))
+	s.cpuTime = make([]uint64, len(st.CPUTime))
+	for i, c := range st.CPUTime {
+		s.charged[i], s.cpuTime[i] = c.PCB, c.Cycles
 	}
 	s.cur = -1
 	return nil

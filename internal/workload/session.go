@@ -5,10 +5,10 @@ import (
 )
 
 // Session is a prepared-but-unstarted measurement run, exposed so the
-// benchmark harness (cmd/vaxbench) and the allocation-contract tests can
-// separate the expensive construction — generation, boot, monitor
-// attachment — from the stepping loop they actually measure. Run and
-// RunInjected stay the one-call paths for real measurements.
+// stepping benchmark (perfbench) and the attribution and allocation
+// tests can separate the expensive construction — generation, boot,
+// monitor attachment — from the stepping loop they actually measure.
+// Run and RunInjected stay the one-call paths for real measurements.
 type Session struct {
 	s *session
 }

@@ -158,9 +158,13 @@ func resumeIdentical(t *testing.T, p Profile, cycles uint64, fcfg *fault.Config)
 // TestSnapshotSize: memory travels as its nonzero frames, so every
 // profile's snapshot at 1M cycles encodes to under 1 MB, not the 8 MB of
 // its memory array; and the interrupt queue travels without the requests
-// already delivered, which would otherwise grow with the run.
+// already delivered, which would otherwise grow with the run. It also
+// holds one session state to one byte string: the stopped session is
+// snapshotted and encoded 19 more times, and every encoding must equal
+// the first. Exporting each time catches a state exporter whose output
+// order varies (a map range), not only an encoder that does.
 func TestSnapshotSize(t *testing.T) {
-	const cycles, limit = 1_000_000, 1_000_000
+	const cycles, limit, encodings = 1_000_000, 1_000_000, 20
 	for _, p := range All() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
@@ -172,21 +176,34 @@ func TestSnapshotSize(t *testing.T) {
 			if res := s.sys.Run(cycles); res.Err != nil || res.Halted {
 				t.Fatalf("run: halted=%v err=%v", res.Halted, res.Err)
 			}
-			snap, err := s.snapshot(nil)
-			if err != nil {
-				t.Fatalf("snapshot: %v", err)
+			encode := func() (*checkpoint.Snapshot, []byte) {
+				snap, err := s.snapshot(nil)
+				if err != nil {
+					t.Fatalf("snapshot: %v", err)
+				}
+				var buf bytes.Buffer
+				if err := checkpoint.Encode(&buf, snap); err != nil {
+					t.Fatalf("Encode: %v", err)
+				}
+				return snap, buf.Bytes()
 			}
-			var buf bytes.Buffer
-			if err := checkpoint.Encode(&buf, snap); err != nil {
-				t.Fatalf("Encode: %v", err)
-			}
-			if buf.Len() >= limit {
+			snap, first := encode()
+			if len(first) >= limit {
 				t.Errorf("snapshot at cycle %d encodes to %d bytes with %d memory frames, want under %d",
-					cycles, buf.Len(), len(snap.CPU.Mem.Frames), limit)
+					cycles, len(first), len(snap.CPU.Mem.Frames), limit)
 			}
 			if n := snap.CPU.NextIRQ; n != 0 {
 				t.Errorf("snapshot at cycle %d holds %d delivered interrupt requests (of %d queued), want none",
 					cycles, n, len(snap.CPU.IRQs))
+			}
+			differ := 0
+			for i := 1; i < encodings; i++ {
+				if _, b := encode(); !bytes.Equal(b, first) {
+					differ++
+				}
+			}
+			if differ > 0 {
+				t.Errorf("%d of %d re-encodings of one session state differ from the first", differ, encodings-1)
 			}
 		})
 	}
