@@ -1,9 +1,8 @@
 # Developer entry points. `make check` is the full pre-merge gate: build, gofmt,
-# go vet, the repo's own vaxlint static analyzers (cross-table invariants,
-# typed errors and exhaustive enum switches, see DESIGN.md
-# "Static analysis & invariants"), the measured latency oracle, the test
-# suite under the race detector (with the runtime determinism and
-# allocation gates, DESIGN.md §11 and §13), the chaos soak (fault
+# go vet (the static gate), the measured latency oracle, the test suite
+# under the race detector (with the cross-table invariants, typed errors
+# and enum names checked at run time, DESIGN.md §8 and §11, and the
+# determinism and allocation gates, §11 and §13), the chaos soak (fault
 # injection into a full OS workload, DESIGN.md "Fault model & machine
 # checks"), the farm soak, the crash-consistency proof (kill a
 # checkpointed run mid-write, resume, demand bit-identical results;
@@ -21,9 +20,9 @@ FUZZTIME ?= 10s
 # runs; at history_size=7 it was reported in 5 of 5.
 RACEGO = GORACE=history_size=7 $(GO)
 
-.PHONY: check build gofmt vet lint vaxlint sarif latency latency-truth test race soak farmsoak crash-consistency fuzz-smoke bench lint-bench
+.PHONY: check build gofmt vet latency latency-truth test race soak farmsoak crash-consistency fuzz-smoke bench
 
-check: build gofmt vet vaxlint latency-truth race soak farmsoak crash-consistency fuzz-smoke
+check: build gofmt vet latency-truth race soak farmsoak crash-consistency fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -36,19 +35,6 @@ gofmt:
 vet:
 	$(GO) vet ./...
 
-# All five analyzers, human-readable; vet is its own target above.
-vaxlint:
-	$(GO) run ./cmd/vaxlint -vet=false ./...
-
-# Same run as a SARIF 2.1.0 log on stdout — for CI code-scanning upload.
-sarif:
-	$(GO) run ./cmd/vaxlint -vet=false -sarif ./...
-
-# Same run, one JSON object per finding on stdout — for editors and CI
-# annotators.
-lint:
-	$(GO) run ./cmd/vaxlint -vet=false -json ./...
-
 # Latency table (DESIGN.md §16): measure every registered opcode under
 # each directed variant and every addressing mode, and rewrite the
 # committed LATENCY.md + latency.json.
@@ -57,16 +43,14 @@ latency:
 
 # Latency oracle gate: measure the table in memory and require both
 # committed files byte for byte (a one-cycle change to any measured cell
-# fails here), with the row assertion, the counter identities on every
-# step, the concurrent-sweep determinism check, the per-step allocation
-# gate and the corruption tests; then confront the analysis suite's
-# static registration scan and
-# exec-file rows with the committed table. The attribution tests hold
-# the five profiles' histograms to the machine's own counters on every
-# instruction and require every defined microword to be counted
-# (DESIGN.md §12).
+# fails here, and the table must cover exactly the registered opcodes),
+# with the row assertion, the counter identities on every step, the
+# concurrent-sweep determinism check, the per-step allocation gate and
+# the corruption tests. The attribution tests hold the five profiles'
+# histograms to the machine's own counters on every instruction and
+# require every defined microword to be counted (DESIGN.md §12).
 latency-truth:
-	$(GO) test -run 'TestLatency|TestAttribution' ./internal/experiments ./internal/analysis
+	$(GO) test -run 'TestLatency|TestAttribution' ./internal/experiments
 
 test:
 	$(GO) test ./...
@@ -112,17 +96,11 @@ fuzz-smoke:
 
 # Regenerate every table and figure of the paper (see bench_test.go),
 # then append a fleet-throughput entry (merged cycles/sec across the
-# worker pool, with rescue/shed counts; one worker killed mid-sweep so
-# the number covers the rescue path) to BENCH_farm.json. The stepping
+# worker pool, with rescue/shed counts and the host's core count and
+# GOMAXPROCS; one worker killed mid-sweep so the number covers the
+# rescue path) to BENCH_farm.json. The stepping
 # rate per profile, with host and spread, is perfbench's
 # (perfbench/run.sh).
 bench:
 	$(GO) test -bench . -benchtime 1x
-	$(GO) run ./cmd/vaxbench -farm -chaos "1@3" -out BENCH_farm.json
-
-# Analyzer-suite cost: one module load, then each of the five vaxlint
-# analyzers timed over the whole tree with its findings count, appended
-# to the committed BENCH_lint.json ledger, so the suite's own cost has a
-# trajectory.
-lint-bench:
-	$(GO) run ./cmd/vaxbench -lint -out BENCH_lint.json
+	$(GO) run ./cmd/vaxbench -chaos "1@3" -out BENCH_farm.json

@@ -5,8 +5,7 @@
 // headline quantity of its table as a custom metric next to the paper's
 // value, so `go test -bench .` prints the whole reproduction (`make
 // bench`). The paper constants these benches compare against live only in
-// internal/paper; the paperconst analyzer run by `make check` keeps it
-// that way.
+// internal/paper; TestNoPaperNumberCopies there keeps it that way.
 package vax780
 
 import (

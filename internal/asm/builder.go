@@ -6,7 +6,6 @@ package asm
 
 import (
 	"fmt"
-	"sort"
 
 	"vax780/internal/vax"
 )
@@ -94,9 +93,6 @@ func LblAddrOff(name string, off int32) Arg {
 	return Arg{label: name, addend: off, kind: argPCRel}
 }
 
-// LblAbs returns an absolute (@#) reference to a label.
-func LblAbs(name string) Arg { return Arg{label: name, kind: argAbsLbl} }
-
 // LblAbsOff returns an absolute (@#) reference to label+off.
 func LblAbsOff(name string, off int32) Arg {
 	return Arg{label: name, addend: off, kind: argAbsLbl}
@@ -138,9 +134,6 @@ func (b *Builder) Label(name string) {
 	}
 	b.labels[name] = b.PC()
 }
-
-// SetLabel defines name at an explicit address (for externally-placed data).
-func (b *Builder) SetLabel(name string, addr uint32) { b.labels[name] = addr }
 
 // Op assembles an instruction with the given operands. For branch opcodes
 // the final argument must be a label name passed via Br; use Op for
@@ -307,21 +300,6 @@ func (im *Image) MustAddr(name string) uint32 {
 		panic("asm: undefined label " + name)
 	}
 	return a
-}
-
-// Symbols returns label names sorted by address (for disassembly listings).
-func (im *Image) Symbols() []string {
-	names := make([]string, 0, len(im.Labels))
-	for n := range im.Labels {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if im.Labels[names[i]] != im.Labels[names[j]] {
-			return im.Labels[names[i]] < im.Labels[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	return names
 }
 
 // Finish resolves fixups and returns the image.

@@ -14,10 +14,8 @@ import (
 // the addressing modes whose textual rendering is parseable by the text
 // assembler, so the test also pins down the Specifier.String syntax.
 //
-// Because it iterates vax.All(), this test doubles as a live fixture for
-// the exectable analyzer (cmd/vaxlint): an opcode added to the table
-// without decode/encode support fails here before it ever reaches the
-// simulator.
+// Because it iterates vax.All(), an opcode added to the table without
+// decode/encode support fails here before it ever reaches the simulator.
 func TestDisasmRoundTrip(t *testing.T) {
 	const org = 0x200
 

@@ -19,10 +19,12 @@ func TestLedgerRoundTrip(t *testing.T) {
 	}
 
 	l.Append(FarmEntry{
-		Date:      "2026-08-08",
-		GoVersion: "go1.0-test",
-		Budget:    1000,
-		Chaos:     "1@3",
+		Date:       "2026-08-08",
+		GoVersion:  "go1.0-test",
+		NumCPU:     8,
+		GOMAXPROCS: 4,
+		Budget:     1000,
+		Chaos:      "1@3",
 		Farm: FarmResult{
 			Instances: 10, Workers: 4, Seconds: 0.5, CyclesMerged: 10_000,
 			CyclesPerSec: 20_000, Completed: 10, Rescued: 1, WorkersLost: 1,
@@ -48,7 +50,8 @@ func TestLedgerRoundTrip(t *testing.T) {
 	if len(l3.Entries) != 2 || l3.Entries[0].Date != "2026-08-08" || l3.Entries[1].Date != "2026-08-09" {
 		t.Fatalf("ledger after two writes: %+v", l3.Entries)
 	}
-	if got := l3.Entries[0]; got.Chaos != "1@3" || got.Farm.Rescued != 1 || got.Farm.CyclesPerSec != 20_000 {
+	if got := l3.Entries[0]; got.Chaos != "1@3" || got.NumCPU != 8 || got.GOMAXPROCS != 4 ||
+		got.Farm.Rescued != 1 || got.Farm.CyclesPerSec != 20_000 {
 		t.Fatalf("farm entry did not round-trip: %+v", got)
 	}
 

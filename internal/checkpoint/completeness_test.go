@@ -34,8 +34,7 @@ var exempt = map[string]map[string]string{
 		"inExc":         "false at every instruction boundary (snapshots are taken there); ImportState re-clears it",
 		"instAborted":   "false at every instruction boundary; ImportState re-clears it",
 		"wdLimit":       "supervisor configuration, re-armed by the supervisor on resume",
-		"plane":         "attachment; rebuilt from Meta.Fault, stream positions travel as FaultState",
-		"csSample":      "attachment derived from the plane",
+		"csSample":      "attachment derived from the fault plane; rebuilt from Meta.Fault, stream positions travel as FaultState",
 		"OnInstruction": "attachment; vmos re-installs its scheduler hook on boot",
 	},
 	"cpu.ibox": {
@@ -80,8 +79,7 @@ var exempt = map[string]map[string]string{
 		"diskReq":   "derived by Boot from the kernel image",
 	},
 	"fault.Plane": {
-		"sched":    "rebuilt from Meta.Fault by NewPlane",
-		"observer": "attachment",
+		"sched": "rebuilt from Meta.Fault by NewPlane",
 	},
 	"core.Monitor": {},
 }

@@ -663,3 +663,23 @@ func containsSub(s, sub string) bool {
 	}
 	return false
 }
+
+// TestEnumNames: every machine-check cause below NumMCCauses, and each of
+// the three halt reasons, has a name of its own. A constant added without
+// its String arm falls back to the out-of-range text and fails here.
+func TestEnumNames(t *testing.T) {
+	seen := map[string]bool{}
+	name := func(s, fallback string) {
+		t.Helper()
+		if s == fallback || seen[s] {
+			t.Errorf("name %q is the fallback or already taken", s)
+		}
+		seen[s] = true
+	}
+	for c := MCCause(0); c < NumMCCauses; c++ {
+		name(c.String(), NumMCCauses.String())
+	}
+	for _, r := range []HaltReason{HaltNone, HaltInstruction, HaltError} {
+		name(r.String(), HaltReason(-1).String())
+	}
+}

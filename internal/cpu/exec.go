@@ -18,9 +18,10 @@ type execFn func(m *Machine)
 
 var execTable [256]execFn
 
-// register attaches the execute microroutine of one opcode. The exectable
-// analyzer (cmd/vaxlint) proves table/handler consistency at build time;
-// this runtime check remains as defense in depth.
+// register attaches the execute microroutine of one opcode. A second
+// registration of an opcode panics at package init;
+// TestSemanticsEveryRegisteredOpcodeHasExec holds the table and the
+// handlers to the same set of opcodes.
 func register(op vax.Opcode, fn execFn) {
 	if execTable[op] != nil {
 		name := fmt.Sprintf("opcode %#02x", uint8(op))
@@ -208,11 +209,6 @@ func (m *Machine) redirect(w uint16, target uint32) {
 
 // ---------------------------------------------------------------------------
 // Interrupts.
-
-// RaiseIRQ asserts a device interrupt now.
-func (m *Machine) RaiseIRQ(ipl uint8, vector uint16) {
-	m.QueueIRQ(IRQ{At: m.cycle, IPL: ipl, Vector: vector})
-}
 
 func (m *Machine) checkInterrupts() {
 	cur := uint8(m.PSL >> 16 & 0x1F)

@@ -385,12 +385,20 @@ func TestSemanticsPSW(t *testing.T) {
 	})
 }
 
-// TestSemanticsEveryRegisteredOpcodeHasExec verifies the dispatch table is
-// complete: every opcode in the architectural table has a microroutine.
+// TestSemanticsEveryRegisteredOpcodeHasExec holds the dispatch table and
+// the architectural table to the same set of opcodes: every opcode in the
+// table has a microroutine, and every registered microroutine has a table
+// entry (one without would never run, since decode faults the opcode as
+// reserved before dispatch).
 func TestSemanticsEveryRegisteredOpcodeHasExec(t *testing.T) {
 	for _, info := range vax.All() {
 		if execTable[info.Code] == nil {
 			t.Errorf("%s (%#02x) has no execute routine", info.Name, info.Code)
+		}
+	}
+	for _, op := range RegisteredOpcodes() {
+		if vax.Lookup(op) == nil {
+			t.Errorf("opcode %#02x has an execute routine but no opcode-table entry", uint8(op))
 		}
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"vax780/internal/cache"
-	"vax780/internal/fault"
 	"vax780/internal/mem"
 	"vax780/internal/mmu"
 	"vax780/internal/tb"
@@ -134,8 +133,7 @@ type Machine struct {
 	wdLastRetire uint64 // cycle at which the last instruction retired
 
 	// Machine-check state (see mcheck.go).
-	plane     *fault.Plane // attached fault plane
-	csSample  func() bool  // its control-store parity sampler (nil = never)
+	csSample  func() bool // the fault plane's control-store parity sampler (nil = never)
 	pendMC    pendingMC
 	mcPending bool
 	mcActive  bool // a machine check is being handled (cleared by REI)

@@ -72,16 +72,12 @@ type pendingMC struct {
 // AttachFaultPlane wires a fault-injection plane into every injection
 // point of the machine (nil detaches them all). See internal/fault.
 func (m *Machine) AttachFaultPlane(p *fault.Plane) {
-	m.plane = p
 	m.Mem.SetInjector(p.Sampler(fault.MemRDS))
 	m.Cache.SetInjector(p.Sampler(fault.CacheParity))
 	m.TLB.SetInjector(p.Sampler(fault.TBParity))
 	m.SBI.SetInjector(p.Sampler(fault.SBITimeout))
 	m.csSample = p.Sampler(fault.CSParity)
 }
-
-// FaultPlane returns the attached fault plane (nil when none).
-func (m *Machine) FaultPlane() *fault.Plane { return m.plane }
 
 // pollMachineChecks drains the subsystem error latches and the
 // control-store parity sampler, pending at most one machine check.

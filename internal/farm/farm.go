@@ -199,7 +199,6 @@ type Farm struct {
 	cfg      Config
 	profiles []workload.Profile
 	insts    []*instance
-	kills    []atomic.Bool // runtime kill switches, one per worker
 	ran      atomic.Bool
 }
 
@@ -212,7 +211,7 @@ func New(cfg Config) (*Farm, error) {
 	if cfg.Cycles == 0 {
 		return nil, fmt.Errorf("farm: Cycles must be positive")
 	}
-	f := &Farm{cfg: cfg, kills: make([]atomic.Bool, cfg.Workers)}
+	f := &Farm{cfg: cfg}
 	for _, name := range cfg.Profiles {
 		p, ok := workload.ByName(name)
 		if !ok {
@@ -255,18 +254,6 @@ func (f *Farm) deriveInstance(i int) *instance {
 		cycles:  f.cfg.Cycles,
 		status:  StatusPending,
 	}
-}
-
-// KillWorker arms worker w's kill switch: it dies at its next chunk
-// boundary, abandoning its in-flight instance to rescue. Safe to call
-// from any goroutine while Run is in flight — it is the demo/chaos
-// entry point, not part of the measurement path.
-func (f *Farm) KillWorker(w int) error {
-	if w < 0 || w >= len(f.kills) {
-		return fmt.Errorf("farm: no worker %d (pool of %d)", w, len(f.kills))
-	}
-	f.kills[w].Store(true)
-	return nil
 }
 
 // delayedRetry is a failed instance waiting out its backoff.
@@ -559,8 +546,6 @@ func (f *Farm) merge(workers []*worker, resumed []*core.Histogram, resumedCycles
 			res.Shed++
 		case StatusPaused:
 			res.Paused++
-		case StatusPending, StatusRunning, NumStatuses:
-			// Unreachable after drain; keep the enum switch exhaustive.
 		}
 		if inst.status == StatusCompleted || inst.status == StatusRescued {
 			if inst.attempts > 0 { // freshly run this Run, not preloaded

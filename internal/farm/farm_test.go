@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -282,6 +283,59 @@ func TestFarmPauseResume(t *testing.T) {
 	}
 	if !bytes.Equal(histBytes(t, final.Merged), histBytes(t, want.Merged)) {
 		t.Error("resumed farm composite differs from undisturbed farm")
+	}
+}
+
+// TestFarmPauseInFlight: cancelling a farm while an attempt is in flight
+// pauses that instance behind its final checkpoint, and every ledger row
+// of an interrupted farm is terminal. One worker runs one instance far
+// longer than the test, and the cancel lands when its first checkpoint
+// generation appears, so the attempt is always in flight when it does.
+func TestFarmPauseInFlight(t *testing.T) {
+	defer checkGoroutineLeak(t)()
+	cfg := testConfig(t, 1)
+	cfg.Instances = 1
+	cfg.Cycles = 100_000_000
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for ctx.Err() == nil {
+			if gens, _ := filepath.Glob(filepath.Join(cfg.Root, "inst-*", "*.vaxck")); len(gens) > 0 {
+				cancel()
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	res, err := f.Run(ctx)
+	var intr *Interrupted
+	if !errors.As(err, &intr) {
+		t.Fatalf("err = %v, want *Interrupted", err)
+	}
+	if res.Paused != 1 || intr.Paused != 1 {
+		t.Errorf("paused %d (error says %d), want 1: %+v", res.Paused, intr.Paused, res.Ledger)
+	}
+	for _, o := range res.Ledger {
+		if !o.Status.Terminal() {
+			t.Errorf("instance %d left %s after the farm returned", o.ID, o.Status)
+		}
+	}
+}
+
+// TestStatusNames: every status below NumStatuses has a name of its own.
+// A status added without its String arm falls back to the numbered
+// "Status(n)" text and fails here.
+func TestStatusNames(t *testing.T) {
+	seen := map[string]bool{}
+	for s := Status(0); s < NumStatuses; s++ {
+		if name := s.String(); name == fmt.Sprintf("Status(%d)", uint8(s)) || seen[name] {
+			t.Errorf("status %d: name %q is the fallback or already taken", s, name)
+		} else {
+			seen[name] = true
+		}
 	}
 }
 

@@ -29,7 +29,8 @@ const (
 	// deadline) with a final checkpoint where one was possible; a
 	// resumed farm picks it back up.
 	StatusPaused
-	// NumStatuses bounds the enum for exhaustiveness checks.
+	// NumStatuses bounds the enum: every status below it has a name
+	// (TestStatusNames).
 	NumStatuses
 )
 
@@ -47,7 +48,6 @@ func (s Status) String() string {
 		return "shed"
 	case StatusPaused:
 		return "paused"
-	case NumStatuses:
 	}
 	return fmt.Sprintf("Status(%d)", uint8(s))
 }
@@ -58,7 +58,6 @@ func (s Status) Terminal() bool {
 	switch s {
 	case StatusCompleted, StatusRescued, StatusShed, StatusPaused:
 		return true
-	case StatusPending, StatusRunning, NumStatuses:
 	}
 	return false
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"vax780/internal/checkpoint"
 	"vax780/internal/core"
@@ -57,14 +56,12 @@ type worker struct {
 	every    uint64 // checkpoint period (cycles)
 	watchdog uint64
 
-	// Kill plumbing. killAfter is the scripted chaos switch: die after
-	// that many chunk callbacks, cumulative across instances (0 = never).
-	// kill is the runtime switch (Farm.KillWorker). Both are checked at
-	// chunk boundaries, the only points where the supervised run loop
+	// Kill plumbing: the scripted chaos switch, die after killAfter chunk
+	// callbacks, cumulative across instances (0 = never). It is checked
+	// at chunk boundaries, the only points where the supervised run loop
 	// re-enters farm code.
 	killAfter int
 	chunks    int
-	kill      *atomic.Bool
 
 	local []*core.Histogram // per-profile sums of completed instances
 }
@@ -80,7 +77,6 @@ func newWorker(id int, f *Farm, ctx context.Context, dispatch <-chan *instance,
 		machine:  f.cfg.Machine,
 		every:    f.cfg.CheckpointEvery,
 		watchdog: f.cfg.Watchdog,
-		kill:     &f.kills[id],
 		local:    make([]*core.Histogram, len(f.profiles)),
 	}
 	for i := range w.local {
@@ -144,7 +140,7 @@ func (w *worker) attempt(inst *instance) (ev event, dead bool) {
 		OnChunk: func(cycle uint64) {
 			lastCycle = cycle
 			w.chunks++
-			if w.kill.Load() || (w.killAfter > 0 && w.chunks >= w.killAfter) {
+			if w.killAfter > 0 && w.chunks >= w.killAfter {
 				panic(killed{worker: w.id})
 			}
 		},

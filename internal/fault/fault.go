@@ -83,10 +83,9 @@ type Stats struct {
 // use; like the Machine it instruments, one Plane belongs to one
 // simulation goroutine.
 type Plane struct {
-	sched    [NumPoints]Schedule
-	streams  [NumPoints]uint64 // per-point splitmix64 states
-	stats    Stats
-	observer func(Point) // injection callback (see SetObserver)
+	sched   [NumPoints]Schedule
+	streams [NumPoints]uint64 // per-point splitmix64 states
+	stats   Stats
 }
 
 // NewPlane builds a plane from a config. A nil *Plane is valid everywhere
@@ -98,15 +97,6 @@ func NewPlane(cfg Config) *Plane {
 		p.streams[i] = splitmix64(cfg.Seed + 0x9E3779B97F4A7C15*uint64(i+1))
 	}
 	return p
-}
-
-// SetObserver installs a callback fired on every injection (nil removes
-// it). The callback must be a pure observer: in particular it must not
-// retain or touch a *cpu.Machine — the probesafe analyzer enforces this.
-func (p *Plane) SetObserver(fn func(Point)) {
-	if p != nil {
-		p.observer = fn
-	}
 }
 
 // Sample consults one injection point and reports whether a fault fires
@@ -132,9 +122,6 @@ func (p *Plane) Sample(pt Point) bool {
 	}
 	if fire {
 		p.stats.Injected[pt]++
-		if p.observer != nil {
-			p.observer(pt)
-		}
 	}
 	return fire
 }

@@ -118,20 +118,6 @@ func TestEveryNExact(t *testing.T) {
 	}
 }
 
-func TestObserver(t *testing.T) {
-	cfg := Config{Seed: 11}
-	cfg.Sched[TBParity] = Schedule{Every: 5}
-	p := NewPlane(cfg)
-	var seen []Point
-	p.SetObserver(func(pt Point) { seen = append(seen, pt) })
-	for i := 0; i < 12; i++ {
-		p.Sample(TBParity)
-	}
-	if len(seen) != 2 || seen[0] != TBParity {
-		t.Errorf("observer saw %v", seen)
-	}
-}
-
 func TestParseSpec(t *testing.T) {
 	cfg, err := ParseSpec("seed=0x2a, mem=1e-4, cache=0.5, sbi=1/5000")
 	if err != nil {

@@ -2,11 +2,11 @@ package fault
 
 // State is the serialized state of a fault plane, for the checkpoint/
 // resume path (internal/checkpoint): the per-point PRNG stream positions
-// and the sampling statistics. The schedules and the observer are
-// configuration/attachment wiring — a resumed plane is rebuilt from the
-// same Config and then imports this state, after which it produces the
-// exact fault schedule the uninterrupted run would have (the deterministic-
-// resume guarantee depends on this).
+// and the sampling statistics. The schedules are configuration — a
+// resumed plane is rebuilt from the same Config and then imports this
+// state, after which it produces the exact fault schedule the
+// uninterrupted run would have (the deterministic-resume guarantee
+// depends on this).
 type State struct {
 	Streams [NumPoints]uint64
 	Stats   Stats

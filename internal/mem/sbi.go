@@ -197,14 +197,5 @@ func (w *WriteBuffer) dropDrained(now uint64) {
 	}
 }
 
-// FreeAt reports when the buffer fully drains; a write at or after this
-// cycle will not stall regardless of depth.
-func (w *WriteBuffer) FreeAt() uint64 {
-	if len(w.drains) == 0 {
-		return 0
-	}
-	return w.drains[len(w.drains)-1]
-}
-
 // Stats returns cumulative statistics.
 func (w *WriteBuffer) Stats() WriteBufferStats { return w.stats }

@@ -94,10 +94,6 @@ type OpInfo struct {
 	PCClass    PCClass       // PC-changing classification (Table 2)
 }
 
-// HasBranchDisp reports whether the instruction ends with a PC-relative
-// branch displacement (which is not an operand specifier, per §3.2).
-func (o *OpInfo) HasBranchDisp() bool { return o.BranchDisp != TypeNone }
-
 // shorthand constructors for operand specifier signatures.
 func rb() OperandSpec { return OperandSpec{AccessRead, TypeByte} }
 func rw() OperandSpec { return OperandSpec{AccessRead, TypeWord} }

@@ -340,6 +340,53 @@ func TestResumeErrors(t *testing.T) {
 	}
 }
 
+// TestTypedErrors: each failure class this package promises its callers
+// reaches them as a value errors.Is or errors.As can match, through every
+// wrap on the way out; cmd/vaxsim and internal/farm route on them.
+func TestTypedErrors(t *testing.T) {
+	// A control-store parity storm blows the kernel's machine-check
+	// budget: the first profile's kernel halts well inside the budget.
+	storm := fault.Config{Seed: 3}
+	storm.Sched[fault.CSParity] = fault.Schedule{Every: 25}
+	p := All()[0]
+	const cycles = 2_000_000
+	is := func(target error) func(error) bool {
+		return func(err error) bool { return errors.Is(err, target) }
+	}
+	for _, c := range []struct {
+		name  string
+		run   func() error
+		match func(error) bool
+		want  string
+	}{
+		{"Generate/zero-mix", func() error {
+			_, err := Generate(GenConfig{})
+			return err
+		}, is(ErrBadMix), "ErrBadMix"},
+		{"RunInjected/cs-parity-storm", func() error {
+			_, err := RunInjected(p, cycles, cpu.Config{}, fault.NewPlane(storm))
+			return err
+		}, is(ErrUnexpectedHalt), "ErrUnexpectedHalt"},
+		{"RunSupervised/cs-parity-storm", func() error {
+			_, err := RunSupervised(context.Background(), Spec{Profile: p, Cycles: cycles, Fault: &storm}, Supervisor{})
+			return err
+		}, is(ErrUnexpectedHalt), "ErrUnexpectedHalt"},
+		{"RunSupervised/watchdog", func() error {
+			_, err := RunSupervised(context.Background(), Spec{Profile: p, Cycles: cycles}, Supervisor{Watchdog: 20})
+			return err
+		}, func(err error) bool {
+			var me *cpu.MachineError
+			return errors.As(err, &me)
+		}, "*cpu.MachineError"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.run(); !c.match(err) {
+				t.Errorf("got %v, want an error matching %s", err, c.want)
+			}
+		})
+	}
+}
+
 // TestCompositeSupervisedResume interrupts a supervised composite partway
 // through the workload list and resumes it: finished workloads come back
 // from their final snapshots, the interrupted one continues, and the
