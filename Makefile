@@ -22,6 +22,9 @@ RACEGO = GORACE=history_size=7 $(GO)
 
 .PHONY: check build gofmt vet latency latency-truth test race soak farmsoak crash-consistency fuzz-smoke bench
 
+# CI's full check (.github/workflows/check.yml) runs each of these
+# targets once, as a step of its own; a target added here needs a step
+# there.
 check: build gofmt vet latency-truth race soak farmsoak crash-consistency fuzz-smoke
 
 build:

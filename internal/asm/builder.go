@@ -6,6 +6,7 @@ package asm
 
 import (
 	"fmt"
+	"slices"
 
 	"vax780/internal/vax"
 )
@@ -106,7 +107,24 @@ type fixup struct {
 	rel    uint32 // if nonzero: PC value the displacement is relative to
 	isCase bool   // CASEx table entry: relative to table base
 	base   uint32 // table base for case entries
-	loc    string // description for error messages
+	// op (the mnemonic, or ".long") and operand (1-based, 0 for a branch
+	// displacement or case table) place the fixup in error messages.
+	op      string
+	operand int
+}
+
+// loc describes where the fixup sits. It is formatted only for an error,
+// never for the fixups of a program that assembles.
+func (f fixup) loc() string {
+	switch {
+	case f.op == ".long":
+		return ".long " + f.label
+	case f.isCase:
+		return f.op + " case table"
+	case f.operand > 0:
+		return fmt.Sprintf("%s operand %d", f.op, f.operand)
+	}
+	return f.op + " displacement"
 }
 
 // Builder assembles a contiguous image at a fixed origin.
@@ -185,16 +203,14 @@ func (b *Builder) emit(name, brTarget string, caseTargets []string, args ...Arg)
 			b.buf = append(b.buf, 0, 0, 0, 0)
 			b.fixups = append(b.fixups, fixup{
 				at: at, size: 4, label: a.label, addend: a.addend,
-				rel: b.org + uint32(len(b.buf)),
-				loc: fmt.Sprintf("%s operand %d", name, i+1),
+				rel: b.org + uint32(len(b.buf)), op: name, operand: i + 1,
 			})
 		case argAbsLbl:
 			b.buf = append(b.buf, 0x90|byte(vax.PC))
 			at := uint32(len(b.buf))
 			b.buf = append(b.buf, 0, 0, 0, 0)
 			b.fixups = append(b.fixups, fixup{
-				at: at, size: 4, label: a.label, addend: a.addend,
-				loc: fmt.Sprintf("%s operand %d", name, i+1),
+				at: at, size: 4, label: a.label, addend: a.addend, op: name, operand: i + 1,
 			})
 		}
 	}
@@ -203,15 +219,13 @@ func (b *Builder) emit(name, brTarget string, caseTargets []string, args ...Arg)
 		at := uint32(len(b.buf))
 		b.buf = append(b.buf, 0)
 		b.fixups = append(b.fixups, fixup{
-			at: at, size: 1, label: brTarget, rel: b.org + uint32(len(b.buf)),
-			loc: name + " displacement",
+			at: at, size: 1, label: brTarget, rel: b.org + uint32(len(b.buf)), op: name,
 		})
 	case vax.TypeWord:
 		at := uint32(len(b.buf))
 		b.buf = append(b.buf, 0, 0)
 		b.fixups = append(b.fixups, fixup{
-			at: at, size: 2, label: brTarget, rel: b.org + uint32(len(b.buf)),
-			loc: name + " displacement",
+			at: at, size: 2, label: brTarget, rel: b.org + uint32(len(b.buf)), op: name,
 		})
 	}
 	if info.PCClass == vax.PCCase {
@@ -220,8 +234,7 @@ func (b *Builder) emit(name, brTarget string, caseTargets []string, args ...Arg)
 			at := uint32(len(b.buf))
 			b.buf = append(b.buf, 0, 0)
 			b.fixups = append(b.fixups, fixup{
-				at: at, size: 2, label: tgt, isCase: true, base: base,
-				loc: name + " case table",
+				at: at, size: 2, label: tgt, isCase: true, base: base, op: name,
 			})
 		}
 	} else if len(caseTargets) != 0 {
@@ -253,6 +266,11 @@ func (b *Builder) Quad(vals ...uint64) {
 // Space emits n zero bytes.
 func (b *Builder) Space(n int) { b.buf = append(b.buf, make([]byte, n)...) }
 
+// Grow reserves room for n more bytes, so a caller that knows how much
+// it will emit (a large data region, say) fills one buffer instead of
+// regrowing it. It emits nothing.
+func (b *Builder) Grow(n int) { b.buf = slices.Grow(b.buf, n) }
+
 // Align pads with zeros to the given power-of-two alignment.
 func (b *Builder) Align(n int) {
 	for b.PC()%uint32(n) != 0 {
@@ -277,7 +295,7 @@ func (b *Builder) LongLabel(name string) { b.LongLabelOff(name, 0) }
 func (b *Builder) LongLabelOff(name string, off int32) {
 	at := uint32(len(b.buf))
 	b.buf = append(b.buf, 0, 0, 0, 0)
-	b.fixups = append(b.fixups, fixup{at: at, size: 4, label: name, addend: off, loc: ".long " + name})
+	b.fixups = append(b.fixups, fixup{at: at, size: 4, label: name, addend: off, op: ".long"})
 }
 
 // Image is a finished assembly: bytes to be loaded at Org.
@@ -307,7 +325,7 @@ func (b *Builder) Finish() (*Image, error) {
 	for _, f := range b.fixups {
 		target, ok := b.labels[f.label]
 		if !ok {
-			b.errs = append(b.errs, fmt.Errorf("asm: undefined label %q in %s", f.label, f.loc))
+			b.errs = append(b.errs, fmt.Errorf("asm: undefined label %q in %s", f.label, f.loc()))
 			continue
 		}
 		var v int64
@@ -322,13 +340,13 @@ func (b *Builder) Finish() (*Image, error) {
 		switch f.size {
 		case 1:
 			if v < -128 || v > 127 {
-				b.errs = append(b.errs, fmt.Errorf("asm: byte displacement to %q out of range (%d) in %s", f.label, v, f.loc))
+				b.errs = append(b.errs, fmt.Errorf("asm: byte displacement to %q out of range (%d) in %s", f.label, v, f.loc()))
 				continue
 			}
 			b.buf[f.at] = byte(int8(v))
 		case 2:
 			if v < -32768 || v > 32767 {
-				b.errs = append(b.errs, fmt.Errorf("asm: word displacement to %q out of range (%d) in %s", f.label, v, f.loc))
+				b.errs = append(b.errs, fmt.Errorf("asm: word displacement to %q out of range (%d) in %s", f.label, v, f.loc()))
 				continue
 			}
 			b.buf[f.at] = byte(v)

@@ -664,9 +664,10 @@ func containsSub(s, sub string) bool {
 	return false
 }
 
-// TestEnumNames: every machine-check cause below NumMCCauses, and each of
-// the three halt reasons, has a name of its own. A constant added without
-// its String arm falls back to the out-of-range text and fails here.
+// TestEnumNames: every machine-check cause below NumMCCauses, and every
+// halt reason below NumHaltReasons, has a name of its own. A constant
+// added without its String arm falls back to the out-of-range text and
+// fails here.
 func TestEnumNames(t *testing.T) {
 	seen := map[string]bool{}
 	name := func(s, fallback string) {
@@ -679,7 +680,7 @@ func TestEnumNames(t *testing.T) {
 	for c := MCCause(0); c < NumMCCauses; c++ {
 		name(c.String(), NumMCCauses.String())
 	}
-	for _, r := range []HaltReason{HaltNone, HaltInstruction, HaltError} {
-		name(r.String(), HaltReason(-1).String())
+	for r := HaltReason(0); r < NumHaltReasons; r++ {
+		name(r.String(), NumHaltReasons.String())
 	}
 }

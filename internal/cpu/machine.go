@@ -325,6 +325,8 @@ const (
 	HaltInstruction
 	// HaltError: an unrecoverable model error; Err carries a *MachineError.
 	HaltError
+	// NumHaltReasons counts the reasons above; it is not one itself.
+	NumHaltReasons
 )
 
 func (r HaltReason) String() string {

@@ -192,9 +192,9 @@ func TestAttributionCoverage(t *testing.T) {
 			seen[a] = seen[a] || p.counts[a] > 0
 		}
 	}
-	for _, code := range cpu.RegisteredOpcodes() {
+	for _, info := range registeredInfos(t) {
 		for _, v := range latVariants {
-			add(stepOpcode(vax.Lookup(code), v))
+			add(stepOpcode(info, v))
 		}
 	}
 	for mode := vax.AddrMode(0); int(mode) < vax.NumAddrModes; mode++ {

@@ -18,8 +18,11 @@ func TestLookupByCodeAndName(t *testing.T) {
 		if info.Name != c.name {
 			t.Errorf("Lookup(%#02x).Name = %q, want %q", c.code, info.Name, c.name)
 		}
-		if byName := LookupName(c.name); byName != info {
-			t.Errorf("LookupName(%q) != Lookup(%#02x)", c.name, c.code)
+	}
+	// The name index must agree with the table on every entry.
+	for _, e := range All() {
+		if LookupName(e.Name) != Lookup(e.Code) {
+			t.Errorf("LookupName(%q) != Lookup(%#02x)", e.Name, e.Code)
 		}
 	}
 	if Lookup(0xFF) != nil {

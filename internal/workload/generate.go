@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"vax780/internal/asm"
 	"vax780/internal/vax"
@@ -83,7 +84,13 @@ type generator struct {
 
 func (g *generator) label(prefix string) string {
 	g.nLabel++
-	return fmt.Sprintf("%s%d", prefix, g.nLabel)
+	return numbered(prefix, g.nLabel)
+}
+
+// numbered returns prefix followed by n in decimal, in one allocation.
+func numbered(prefix string, n int) string {
+	var buf [16]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix...), int64(n), 10))
 }
 
 func (g *generator) iters() int32 {
@@ -373,7 +380,7 @@ func (g *generator) emitBranchy() {
 
 func (g *generator) emitCall() {
 	b := g.b
-	proc := fmt.Sprintf("proc%d", g.r.Intn(3))
+	proc := numbered("proc", g.r.Intn(3))
 	g.needProc(3)
 	nargs := int32(g.r.Intn(3))
 	for i := int32(0); i < nargs; i++ {
@@ -384,7 +391,7 @@ func (g *generator) emitCall() {
 
 func (g *generator) emitSubr() {
 	b := g.b
-	sub := fmt.Sprintf("sub%d", g.r.Intn(2))
+	sub := numbered("sub", g.r.Intn(2))
 	g.needSub(2)
 	if g.r.Intn(2) == 0 {
 		b.Br("BSBW", sub)
@@ -547,7 +554,7 @@ func (g *generator) needSub(n int) {
 func (g *generator) emitProcedures() {
 	b := g.b
 	for i := 0; i < g.nProcs; i++ {
-		b.Label(fmt.Sprintf("proc%d", i))
+		b.Label(numbered("proc", i))
 		masks := []uint16{0x01C0, 0x03C0, 0x0FC0} // R6-R8, R6-R9, R6-R11
 		b.Word(masks[i%len(masks)])
 		// The callee re-derives its data base (R6/R7 are in the mask).
@@ -563,7 +570,7 @@ func (g *generator) emitProcedures() {
 		b.Op("RET")
 	}
 	for i := 0; i < g.nSubs; i++ {
-		b.Label(fmt.Sprintf("sub%d", i))
+		b.Label(numbered("sub", i))
 		b.Op("PUSHL", asm.R(vax.R10))
 		g.aluBlock()
 		b.Op("MOVL", asm.Inc(vax.SP), asm.R(vax.R10))
@@ -577,6 +584,7 @@ func (g *generator) emitProcedures() {
 func (g *generator) emitData() {
 	b := g.b
 	b.Align(4)
+	b.Grow(dataSize)
 	b.Label("data")
 	for i := 0; i < 256; i++ {
 		b.Long(uint32(g.r.Intn(1 << 16)))

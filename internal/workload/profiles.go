@@ -121,6 +121,17 @@ func ByName(name string) (Profile, bool) {
 	return Profile{}, false
 }
 
+// program is the generator configuration of the profile's i-th process.
+func (p Profile) program(i int) GenConfig {
+	return GenConfig{
+		Mix:       p.Mix,
+		Blocks:    p.Blocks,
+		LoopIter:  p.LoopIter,
+		StringLen: p.StringLen,
+		Seed:      p.Seed + int64(i)*1000,
+	}
+}
+
 // TerminalSchedule builds the RTE's terminal-interrupt schedule over a run
 // of the given length: Poisson-ish arrivals averaging one per
 // TermInterval cycles, jittered deterministically by the profile seed.

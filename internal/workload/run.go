@@ -57,13 +57,7 @@ func build(p Profile, cycles uint64, mcfg cpu.Config, plane *fault.Plane) (*sess
 	sys.Machine().AttachFaultPlane(plane)
 
 	for i := 0; i < p.Procs; i++ {
-		im, err := generateShared(GenConfig{
-			Mix:       p.Mix,
-			Blocks:    p.Blocks,
-			LoopIter:  p.LoopIter,
-			StringLen: p.StringLen,
-			Seed:      p.Seed + int64(i)*1000,
-		})
+		im, err := Generate(p.program(i))
 		if err != nil {
 			return nil, fmt.Errorf("workload %s: generate: %w", p.Name, err)
 		}
