@@ -58,8 +58,10 @@ latency-truth:
 test:
 	$(GO) test ./...
 
+# soak, farmsoak and crash-consistency run these tests under -race with
+# the same flags, so race skips them and `make check` runs each once.
 race:
-	$(RACEGO) test -race ./...
+	$(RACEGO) test -race -skip '^(TestChaosSoak|TestFarm.*|TestCheckpointResumeDeterminism|TestCrashConsistencyKillAndResume)$$' ./...
 
 # Chaos soak: millions of cycles of OS workload with every fault-injection
 # point firing; nothing worse than a machine check may come out.

@@ -1,6 +1,8 @@
 package asm
 
 import (
+	"bytes"
+	"maps"
 	"strings"
 	"testing"
 
@@ -294,5 +296,104 @@ func mustRunAsm(t *testing.T, im *Image) *asmProbe {
 func TestOrgBackwardFails(t *testing.T) {
 	if _, err := Assemble(0x1000, ".space 64\n.org 0x1010\n"); err == nil {
 		t.Error(".org behind the current address should fail")
+	}
+}
+
+// TestBadSpaceAndAlignFail: a negative .space, or an .align that is not
+// a power of two from 1 to 2^31, is an error naming the directive. Each
+// used to panic (.space -1 in make, .align 0 dividing by zero) or, for a
+// negative .align, append zero bytes until memory ran out.
+func TestBadSpaceAndAlignFail(t *testing.T) {
+	for _, src := range []string{
+		".space -1", ".space -4096",
+		".align 0", ".align -4", ".align 3", ".align 12", ".align 0x100000000",
+	} {
+		_, err := Assemble(0x1000, ".byte 1\n"+src+"\n")
+		directive, _, _ := strings.Cut(src, " ")
+		if err == nil || !strings.Contains(err.Error(), directive) {
+			t.Errorf("%q: err = %v, want an error naming %s", src, err, directive)
+		}
+	}
+	for _, src := range []string{".space 0", ".align 1", ".align 0x80000000"} {
+		if _, err := Assemble(0, src+"\n"); err != nil {
+			t.Errorf("%q: %v", src, err)
+		}
+	}
+}
+
+// flat returns an image as it lies in memory from Org, with its reserved
+// runs as zeros.
+func flat(im *Image) []byte {
+	b := make([]byte, im.Size())
+	im.Segments(func(addr uint32, s []byte) { copy(b[addr-im.Org:], s) })
+	return b
+}
+
+// TestReserveMatchesSpace assembles one program with its zero runs
+// reserved and with them stored. Labels after a run, .long and @# label
+// cells, a PC-relative operand and branch displacements reach across the
+// runs; the two versions must be the same program byte for byte.
+func TestReserveMatchesSpace(t *testing.T) {
+	for _, n := range []int{1, 511, 512, 4096, 101280} {
+		build := func(zero func(b *Builder, n int)) *Image {
+			t.Helper()
+			b := NewBuilder(0x200)
+			b.Label("start")
+			if n <= 4096 {
+				b.Br("BRW", "after")
+			}
+			b.Op("MOVAL", LblAddr("after"), R(vax.R0))
+			b.Op("MOVL", LblAbsOff("after", 4), R(vax.R1))
+			b.LongLabelOff("after", 8)
+			b.Label("run")
+			zero(b, n)
+			b.Label("after")
+			b.LongLabel("start")
+			if n <= 4096 {
+				b.Br("BRW", "start")
+			}
+			b.Op("JMP", LblAddr("run"))
+			zero(b, n) // a trailing run
+			im, err := b.Finish()
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			return im
+		}
+		stored := build((*Builder).Space)
+		reserved := build((*Builder).Reserve)
+		split := build(func(b *Builder, n int) { b.Reserve(n / 2); b.Reserve(n - n/2) })
+		for _, c := range []struct {
+			name string
+			im   *Image
+		}{{"Reserve", reserved}, {"two Reserves", split}} {
+			im := c.im
+			if im.Size() != stored.Size() || !bytes.Equal(flat(im), stored.Bytes) {
+				t.Errorf("n=%d %s: %d bytes differ from Space's %d", n, c.name, im.Size(), stored.Size())
+			}
+			if !maps.Equal(im.Labels, stored.Labels) {
+				t.Errorf("n=%d %s: labels %v, Space gives %v", n, c.name, im.Labels, stored.Labels)
+			}
+			if len(im.Bytes) != len(stored.Bytes)-2*n || len(im.holes) != 2 {
+				t.Errorf("n=%d %s: stores %d bytes with %d holes, want %d bytes with 2 (adjacent runs merge)",
+					n, c.name, len(im.Bytes), len(im.holes), len(stored.Bytes)-2*n)
+			}
+			// Each stored byte once, in address order: one run before
+			// the first hole, one between the holes, none after.
+			var runs int
+			var got []byte
+			next := im.Org
+			im.Segments(func(addr uint32, b []byte) {
+				if addr < next || len(b) == 0 {
+					t.Errorf("n=%d %s: run of %d bytes at %#x, after %#x", n, c.name, len(b), addr, next)
+				}
+				runs++
+				got = append(got, b...)
+				next = addr + uint32(len(b))
+			})
+			if runs != 2 || !bytes.Equal(got, im.Bytes) {
+				t.Errorf("n=%d %s: Segments visits %d runs of %d bytes, want 2 runs of the %d stored", n, c.name, runs, len(got), len(im.Bytes))
+			}
+		}
 	}
 }

@@ -6,7 +6,6 @@ package asm
 
 import (
 	"fmt"
-	"slices"
 
 	"vax780/internal/vax"
 )
@@ -100,7 +99,7 @@ func LblAbsOff(name string, off int32) Arg {
 }
 
 type fixup struct {
-	at     uint32 // image offset of the field to patch
+	at     uint32 // offset in the stored bytes of the field to patch
 	size   int    // 1, 2 or 4 bytes
 	label  string
 	addend int32  // constant added to the label's address
@@ -129,11 +128,19 @@ func (f fixup) loc() string {
 
 // Builder assembles a contiguous image at a fixed origin.
 type Builder struct {
-	org    uint32
-	buf    []byte
-	labels map[string]uint32
-	fixups []fixup
-	errs   []error
+	org      uint32
+	buf      []byte // stored bytes
+	holes    []hole // reserved runs, in address order
+	reserved uint32 // their total length
+	labels   map[string]uint32
+	fixups   []fixup
+	errs     []error
+}
+
+// hole is a run of n zero bytes that the image does not store. It sits
+// just before stored byte at, or at the end when at is len(Bytes).
+type hole struct {
+	at, n uint32
 }
 
 // NewBuilder returns a Builder assembling at origin org.
@@ -142,7 +149,7 @@ func NewBuilder(org uint32) *Builder {
 }
 
 // PC returns the current assembly address.
-func (b *Builder) PC() uint32 { return b.org + uint32(len(b.buf)) }
+func (b *Builder) PC() uint32 { return b.org + uint32(len(b.buf)) + b.reserved }
 
 // Label defines name at the current address.
 func (b *Builder) Label(name string) {
@@ -203,7 +210,7 @@ func (b *Builder) emit(name, brTarget string, caseTargets []string, args ...Arg)
 			b.buf = append(b.buf, 0, 0, 0, 0)
 			b.fixups = append(b.fixups, fixup{
 				at: at, size: 4, label: a.label, addend: a.addend,
-				rel: b.org + uint32(len(b.buf)), op: name, operand: i + 1,
+				rel: b.PC(), op: name, operand: i + 1,
 			})
 		case argAbsLbl:
 			b.buf = append(b.buf, 0x90|byte(vax.PC))
@@ -219,17 +226,17 @@ func (b *Builder) emit(name, brTarget string, caseTargets []string, args ...Arg)
 		at := uint32(len(b.buf))
 		b.buf = append(b.buf, 0)
 		b.fixups = append(b.fixups, fixup{
-			at: at, size: 1, label: brTarget, rel: b.org + uint32(len(b.buf)), op: name,
+			at: at, size: 1, label: brTarget, rel: b.PC(), op: name,
 		})
 	case vax.TypeWord:
 		at := uint32(len(b.buf))
 		b.buf = append(b.buf, 0, 0)
 		b.fixups = append(b.fixups, fixup{
-			at: at, size: 2, label: brTarget, rel: b.org + uint32(len(b.buf)), op: name,
+			at: at, size: 2, label: brTarget, rel: b.PC(), op: name,
 		})
 	}
 	if info.PCClass == vax.PCCase {
-		base := b.org + uint32(len(b.buf))
+		base := b.PC()
 		for _, tgt := range caseTargets {
 			at := uint32(len(b.buf))
 			b.buf = append(b.buf, 0, 0)
@@ -266,10 +273,20 @@ func (b *Builder) Quad(vals ...uint64) {
 // Space emits n zero bytes.
 func (b *Builder) Space(n int) { b.buf = append(b.buf, make([]byte, n)...) }
 
-// Grow reserves room for n more bytes, so a caller that knows how much
-// it will emit (a large data region, say) fills one buffer instead of
-// regrowing it. It emits nothing.
-func (b *Builder) Grow(n int) { b.buf = slices.Grow(b.buf, n) }
+// Reserve emits n zero bytes that the image does not store, as a VMS
+// image's demand-zero section: the PC advances, nothing is appended, and
+// a run that follows another directly merges with it. Labels, fixups and
+// the loaded program see no difference from Space. n must not be
+// negative.
+func (b *Builder) Reserve(n int) {
+	at := uint32(len(b.buf))
+	if k := len(b.holes) - 1; k >= 0 && b.holes[k].at == at {
+		b.holes[k].n += uint32(n)
+	} else {
+		b.holes = append(b.holes, hole{at: at, n: uint32(n)})
+	}
+	b.reserved += uint32(n)
+}
 
 // Align pads with zeros to the given power-of-two alignment.
 func (b *Builder) Align(n int) {
@@ -298,11 +315,43 @@ func (b *Builder) LongLabelOff(name string, off int32) {
 	b.fixups = append(b.fixups, fixup{at: at, size: 4, label: name, addend: off, op: ".long"})
 }
 
-// Image is a finished assembly: bytes to be loaded at Org.
+// Image is a finished assembly: bytes to be loaded at Org. Bytes holds
+// the stored bytes only; the zero runs a Builder reserved sit between
+// them (Segments places each stored run). An image that reserved nothing
+// is Bytes itself, contiguous from Org.
 type Image struct {
 	Org    uint32
 	Bytes  []byte
 	Labels map[string]uint32
+	holes  []hole
+}
+
+// Size returns the image's length in memory: its stored bytes and its
+// reserved runs.
+func (im *Image) Size() uint32 {
+	n := uint32(len(im.Bytes))
+	for _, h := range im.holes {
+		n += h.n
+	}
+	return n
+}
+
+// Segments calls fn for each run of stored bytes, in address order, with
+// the address it loads at. Every byte of the image between the runs is
+// zero.
+func (im *Image) Segments(fn func(addr uint32, b []byte)) {
+	addr, pos := im.Org, uint32(0)
+	for _, h := range im.holes {
+		if h.at > pos {
+			fn(addr, im.Bytes[pos:h.at])
+			addr += h.at - pos
+			pos = h.at
+		}
+		addr += h.n
+	}
+	if pos < uint32(len(im.Bytes)) {
+		fn(addr, im.Bytes[pos:])
+	}
 }
 
 // Addr returns the address of a defined label.
@@ -365,5 +414,5 @@ func (b *Builder) Finish() (*Image, error) {
 	for k, v := range b.labels {
 		labels[k] = v
 	}
-	return &Image{Org: b.org, Bytes: b.buf, Labels: labels}, nil
+	return &Image{Org: b.org, Bytes: b.buf, Labels: labels, holes: b.holes}, nil
 }

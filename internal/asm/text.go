@@ -147,11 +147,17 @@ func assembleDirective(b *Builder, name, rest string) error {
 		if err != nil {
 			return err
 		}
+		if v < 0 {
+			return fmt.Errorf(".space %d: negative length", v)
+		}
 		b.Space(int(v))
 	case ".align":
 		v, err := parseInt(rest)
 		if err != nil {
 			return err
+		}
+		if v <= 0 || v > 1<<31 || v&(v-1) != 0 {
+			return fmt.Errorf(".align %d: not a power of two from 1 to 0x80000000", v)
 		}
 		b.Align(int(v))
 	case ".org":

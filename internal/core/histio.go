@@ -41,31 +41,47 @@ const (
 	histTrailerLen = sha256.Size
 	// histPayloadLen is the fixed payload size: Counts, Stalls, Over.
 	histPayloadLen = 8 * (2*ucode.StoreSize + ucode.StoreSize/64)
+	// histChunk is how many bytes Save encodes before writing them.
+	histChunk = 4 << 10
 )
 
 // Save writes the histogram in the checksummed binary form. The output
 // is a pure function of the histogram's contents: equal histograms write
-// byte-identical files.
+// byte-identical files. The payload length is a constant, so the header
+// goes first and the payload streams through the checksum and w one
+// chunk at a time; a w that can Grow, such as a bytes.Buffer, is grown
+// once to the file's size.
 func (h *Histogram) Save(w io.Writer) error {
-	payload := make([]byte, 0, histPayloadLen)
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(histHeaderLen + histPayloadLen + histTrailerLen)
+	}
+	sum := sha256.New()
+	buf := make([]byte, 0, histChunk)
+	flush := func() error {
+		sum.Write(buf)
+		if _, err := w.Write(buf); err != nil {
+			return fmt.Errorf("core: writing histogram: %w", err)
+		}
+		buf = buf[:0]
+		return nil
+	}
+	buf = append(buf, histMagic[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, histPayloadLen)
 	for _, arr := range [][]uint64{h.Counts[:], h.Stalls[:], h.Over[:]} {
 		for _, v := range arr {
-			payload = binary.LittleEndian.AppendUint64(payload, v)
+			if len(buf) == histChunk {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, v)
 		}
 	}
-	var hdr [histHeaderLen]byte
-	copy(hdr[:], histMagic[:])
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(payload)))
-	sum := sha256.New()
-	sum.Write(hdr[:])
-	sum.Write(payload)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("core: writing histogram: %w", err)
+	if err := flush(); err != nil {
+		return err
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("core: writing histogram: %w", err)
-	}
-	if _, err := w.Write(sum.Sum(nil)); err != nil {
+	buf = sum.Sum(buf)
+	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("core: writing histogram: %w", err)
 	}
 	return nil

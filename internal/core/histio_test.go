@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
+	"encoding/hex"
 	"errors"
+	"io"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -96,5 +100,72 @@ func TestHistogramCorruptionMatrix(t *testing.T) {
 	}
 	for off := len(data) - histTrailerLen; off < len(data); off++ {
 		mustCorrupt("trailer flip at "+strconv.Itoa(off), flip(off))
+	}
+}
+
+// saveDigest is the SHA-256 of the file Save wrote for fixedHist before
+// Save streamed its payload (recorded at f70c30e): streaming changed how
+// the bytes are made, not the bytes.
+const saveDigest = "bb13142169299d14c3afa3819dc7e41e0d552fe15ce7b7387f73af5a7f91e83b"
+
+// fixedHist fills every bucket, so a value lost or repeated at a chunk
+// boundary moves the file.
+func fixedHist() *Histogram {
+	h := &Histogram{}
+	for i := range h.Counts {
+		h.Counts[i] = uint64(i+1) * 0x9E3779B97F4A7C15
+		h.Stalls[i] = uint64(i) << 20
+	}
+	for i := range h.Over {
+		h.Over[i] = uint64(i) * 0x0101010101010101
+	}
+	return h
+}
+
+// TestHistogramSaveStreams holds Save to its streaming form: into
+// io.Discard it allocates one chunk and the hash state, not a copy of the
+// 264 KB payload, and into an empty bytes.Buffer it adds what growing the
+// buffer once to the file's size costs (one allocation; two under the
+// race detector, whose instrumentation keeps bytes.Buffer's temporary).
+// The bytes written are the recorded file's. Counts are the fewest of
+// three runs.
+func TestHistogramSaveStreams(t *testing.T) {
+	h := fixedHist()
+	const file = histHeaderLen + histPayloadLen + histTrailerLen
+	count := func(f func(run int)) (allocs, size uint64) {
+		allocs, size = ^uint64(0), ^uint64(0)
+		for run := 0; run < 3; run++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f(run)
+			runtime.ReadMemStats(&after)
+			allocs = min(allocs, after.Mallocs-before.Mallocs)
+			size = min(size, after.TotalAlloc-before.TotalAlloc)
+		}
+		return allocs, size
+	}
+	save := func(w io.Writer) {
+		if err := h.Save(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var bufs, grown [3]bytes.Buffer
+	dAllocs, dBytes := count(func(int) { save(io.Discard) })
+	bAllocs, bBytes := count(func(run int) { save(&bufs[run]) })
+	gAllocs, gBytes := count(func(run int) { grown[run].Grow(file) })
+	t.Logf("Save into io.Discard: %d allocations, %d bytes; into an empty bytes.Buffer: %d, %d; growing one to the file's %d bytes: %d, %d",
+		dAllocs, dBytes, bAllocs, bBytes, file, gAllocs, gBytes)
+	if dBytes > histChunk+512 {
+		t.Errorf("Save into io.Discard allocated %d bytes, want at most a %d-byte chunk and the hash state", dBytes, histChunk)
+	}
+	if bAllocs > dAllocs+gAllocs || bBytes > dBytes+gBytes {
+		t.Errorf("Save into a bytes.Buffer made %d allocations and %d bytes more than into io.Discard, want one growth: %d and %d",
+			bAllocs-dAllocs, bBytes-dBytes, gAllocs, gBytes)
+	}
+	for i := range bufs {
+		sum := sha256.Sum256(bufs[i].Bytes())
+		if bufs[i].Len() != file || hex.EncodeToString(sum[:]) != saveDigest {
+			t.Errorf("run %d wrote %d bytes with digest %x, want %d bytes with digest %s", i, bufs[i].Len(), sum, file, saveDigest)
+		}
 	}
 }

@@ -160,7 +160,7 @@ func (s *System) AddProcess(name string, im *asm.Image) (*Process, error) {
 	if len(s.procs) >= s.cfg.MaxProcesses {
 		return nil, fmt.Errorf("vmos: process table full")
 	}
-	progPages := (im.Org + uint32(len(im.Bytes)) + 4*mmu.PageSize + mmu.PageSize - 1) / mmu.PageSize
+	progPages := (im.Org + im.Size() + 4*mmu.PageSize + mmu.PageSize - 1) / mmu.PageSize
 	stackPages := uint32(ustackSize / mmu.PageSize)
 	totalPages := progPages + stackPages
 
@@ -178,8 +178,9 @@ func (s *System) AddProcess(name string, im *asm.Image) (*Process, error) {
 	for j := uint32(0); j < totalPages; j++ {
 		s.m.Mem.WriteLong(pt+4*j, mmu.MakePTE(base/mmu.PageSize+j, mmu.ProtUW))
 	}
-	// Load the program.
-	s.m.Mem.Load(base+im.Org, im.Bytes)
+	// Load the program's stored runs; the frames under its reserved runs
+	// are fresh, so already zero.
+	im.Segments(func(addr uint32, b []byte) { s.m.Mem.Load(base+addr, b) })
 
 	// PCB.
 	pcb, err := s.allocFrames(1)

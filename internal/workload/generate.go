@@ -580,16 +580,17 @@ func (g *generator) emitProcedures() {
 
 // emitData lays out the 128 KB data region; queue nodes, packed decimals,
 // float constants, strings and the I/O buffer live at fixed offsets from
-// the base held in R7.
+// the base held in R7. Its two long zero runs, below the fixed structures
+// and from the string source's end to the region's, are reserved, not
+// stored: the image holds about 1.3 KB of the region's 128 KB.
 func (g *generator) emitData() {
 	b := g.b
 	b.Align(4)
-	b.Grow(dataSize)
 	b.Label("data")
 	for i := 0; i < 256; i++ {
 		b.Long(uint32(g.r.Intn(1 << 16)))
 	}
-	b.Space(strOff - 96 - 4*256)
+	b.Reserve(strOff - 96 - 4*256)
 	// Layout below the strings area:
 	//   strOff-96: queue head   strOff-88: queue node
 	//   strOff-64: pk1          strOff-56: pk2        strOff-48: pk3
@@ -615,8 +616,8 @@ func (g *generator) emitData() {
 		text += "edit compile link run debug print mail "
 	}
 	b.Byte([]byte(text[:256])...)
-	b.Space(4096 - 256)
-	b.Space(4096) // string destination
-	b.Space(64)   // I/O buffer
-	b.Space(dataSize - (ioBufOff + 64))
+	b.Reserve(4096 - 256)
+	b.Reserve(4096) // string destination
+	b.Reserve(64)   // I/O buffer
+	b.Reserve(dataSize - (ioBufOff + 64))
 }

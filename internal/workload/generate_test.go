@@ -25,14 +25,24 @@ var imageDigests = map[string]string{
 	"rte-commercial":       "f44632a66a9232de902f4756bd2b98d20309194a104a1765b816b326b0ac26ec",
 }
 
-// imageDigest writes an image to h: its origin and length, its bytes,
-// then each label and its address in name order.
+// flatBytes returns an image as it lies in memory from Org: its stored
+// runs, with its reserved runs as the zeros between them.
+func flatBytes(im *asm.Image) []byte {
+	flat := make([]byte, im.Size())
+	im.Segments(func(addr uint32, b []byte) { copy(flat[addr-im.Org:], b) })
+	return flat
+}
+
+// imageDigest writes an image to h: its origin and length, its flat
+// bytes, then each label and its address in name order. Hashing the flat
+// bytes keeps the digests recorded when the data region was stored whole.
 func imageDigest(h hash.Hash, im *asm.Image) {
+	flat := flatBytes(im)
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[:4], im.Org)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(im.Bytes)))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(flat)))
 	h.Write(hdr[:])
-	h.Write(im.Bytes)
+	h.Write(flat)
 	names := make([]string, 0, len(im.Labels))
 	for name := range im.Labels {
 		names = append(names, name)
@@ -66,33 +76,24 @@ func TestGenerateDigests(t *testing.T) {
 	}
 }
 
-// One Generate's heap budget. A program is a ~133 KB image, almost all of
-// it the zeroed 128 KB data region, so the image buffer alone is ~136 KB.
-// The five profiles' first programs measure 183,664–183,744 bytes and
-// 140–158 allocations (go1.24.0): headroom 25% in bytes and 27% in
-// allocations. Before the data region was reserved in one piece and
-// labels and fixup locations stopped going through fmt, the same
-// programs cost 294,584–295,392 bytes and 342–397 allocations.
+// One Generate's heap budget. A program's image stores its code and
+// ~1.3 KB of its data region; the region's two long zero runs, 127 KiB,
+// are reserved, not stored. The five profiles' first
+// programs measure 47,504–51,680 bytes and 142–161 allocations
+// (go1.24.0), and 48,784–53,168 bytes and 149–168 allocations under the
+// race detector: headroom 27% (23% under -race) in bytes and 24% (19%)
+// in allocations. An image that stores the whole region costs ~184 KB
+// and fails it.
 const (
-	genBytes  = 224 << 10
+	genBytes  = 64 << 10
 	genAllocs = 200
 )
-
-// raceEnabled is set in builds with the race detector (race_test.go).
-var raceEnabled bool
 
 // TestGenerateAllocations holds one Generate per registry profile to the
 // budget above, counting every heap allocation and byte the process makes
 // meanwhile (runtime.MemStats deltas). Generate is deterministic, so the
 // fewest of three counts is its own.
 func TestGenerateAllocations(t *testing.T) {
-	if raceEnabled {
-		// The race detector's instrumentation turns off the compiler's
-		// elision of the temporary in append(s, make([]T, n)...), which
-		// asm.Builder's Space and Grow use, so each allocates a zeroed
-		// copy of what it adds: one Generate counts ~451 KB, not ~184 KB.
-		t.Skip("allocation counts under -race are not the program's")
-	}
 	for _, p := range All() {
 		cfg := p.program(0)
 		allocs, bytes := ^uint64(0), ^uint64(0)

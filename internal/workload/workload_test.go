@@ -18,11 +18,12 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Bytes) != len(b.Bytes) {
-		t.Fatalf("non-deterministic generation: %d vs %d bytes", len(a.Bytes), len(b.Bytes))
+	fa, fb := flatBytes(a), flatBytes(b)
+	if len(fa) != len(fb) {
+		t.Fatalf("non-deterministic generation: %d vs %d bytes", len(fa), len(fb))
 	}
-	for i := range a.Bytes {
-		if a.Bytes[i] != b.Bytes[i] {
+	for i := range fa {
+		if fa[i] != fb[i] {
 			t.Fatalf("byte %d differs", i)
 		}
 	}
