@@ -1,15 +1,16 @@
 // Command vaxfarm runs a fleet of simulated VAX-11/780s: N machine-
 // instances sharded across W supervised workers, each measured under the
 // µPC histogram monitor, merged into per-profile and composite histograms
-// (internal/farm). The farm survives partial failure — worker panics are
-// retried with backoff, killed workers' instances are rescued from their
-// newest checkpoint on a surviving worker, and sustained failure sheds
-// instances into an explicit outcome ledger instead of biasing the merge.
+// (internal/farm). The farm survives partial failure — killed workers'
+// instances are rescued from their newest checkpoint on a surviving
+// worker, and an instance whose attempt fails is shed into an explicit
+// outcome ledger with its cause instead of biasing the merge (the
+// simulator is deterministic, so a failed attempt is final).
 //
 // SIGINT/SIGTERM and -deadline checkpoint every live instance and exit
 // non-zero with one resume hint, the same contract as vaxsim; -resume
 // continues the whole farm from its root directory with results
-// bit-identical to an undisturbed sweep.
+// bit-identical to an undisturbed sweep, re-running shed instances too.
 //
 // Usage:
 //
@@ -46,8 +47,6 @@ func main() {
 	ckptRoot := flag.String("checkpoint", "", "farm root directory: enables durable checkpoints, rescue from disk, and -resume")
 	ckptEvery := flag.Uint64("checkpoint-every", workload.DefaultCheckpointEvery, "cycles between automatic per-instance checkpoints")
 	resume := flag.Bool("resume", false, "resume the farm recorded under the -checkpoint root")
-	retries := flag.Int("retries", 2, "per-instance retry allowance before shedding")
-	budget := flag.Int("failure-budget", 0, "farm-wide failed-attempt budget before shedding (0 = one per instance)")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget; expiry checkpoints every live instance and exits non-zero")
 	chaos := flag.String("chaos", "", `scripted worker kills, "worker@chunk" pairs: "0@5,2@9"`)
 	out := flag.String("o", ".", "output directory for farm-total.upc and per-profile .upc files")
@@ -79,8 +78,6 @@ func main() {
 			Cycles:          *cycles,
 			Root:            *ckptRoot,
 			CheckpointEvery: *ckptEvery,
-			Retries:         *retries,
-			FailureBudget:   *budget,
 			Deadline:        *deadline,
 			Kills:           parseChaos(*chaos),
 		}
@@ -121,8 +118,12 @@ func main() {
 	}
 	report(res, *out, *ledger)
 	if res.Shed > 0 {
-		cli.Exitf(3, "vaxfarm", "%d of %d instances shed; merged histograms cover the remainder",
-			res.Shed, len(res.Ledger))
+		hint := ""
+		if *ckptRoot != "" {
+			hint = fmt.Sprintf(" (vaxfarm -resume -checkpoint %s re-runs them)", *ckptRoot)
+		}
+		cli.Exitf(3, "vaxfarm", "%d of %d instances shed; merged histograms cover the remainder%s",
+			res.Shed, len(res.Ledger), hint)
 	}
 }
 

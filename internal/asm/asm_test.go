@@ -299,14 +299,17 @@ func TestOrgBackwardFails(t *testing.T) {
 	}
 }
 
-// TestBadSpaceAndAlignFail: a negative .space, or an .align that is not
-// a power of two from 1 to 2^31, is an error naming the directive. Each
-// used to panic (.space -1 in make, .align 0 dividing by zero) or, for a
-// negative .align, append zero bytes until memory ran out.
+// TestBadSpaceAndAlignFail: a negative .space, an .align that is not a
+// power of two from 1 to 2^31, and a .space, .org or .align that would
+// grow the image past 16 MiB are errors naming the directive. Each used
+// to panic (.space -1 in make, .align 0 dividing by zero) or allocate
+// until the host's memory ran out (a negative .align, .space 0x7fffffff,
+// .org 0xfffffff0, .align 0x80000000 one byte past a boundary).
 func TestBadSpaceAndAlignFail(t *testing.T) {
 	for _, src := range []string{
 		".space -1", ".space -4096",
 		".align 0", ".align -4", ".align 3", ".align 12", ".align 0x100000000",
+		".space 0x7fffffff", ".org 0xfffffff0", ".align 0x80000000",
 	} {
 		_, err := Assemble(0x1000, ".byte 1\n"+src+"\n")
 		directive, _, _ := strings.Cut(src, " ")

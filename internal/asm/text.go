@@ -99,6 +99,20 @@ func assembleStatement(b *Builder, line string) error {
 	return nil
 }
 
+// maxTextImage bounds the image .space, .org and .align may grow a text
+// program to: twice the model's 8 MB memory, so every loadable program
+// assembles, and a typo such as .space 0x7fffffff is an error instead of
+// an allocation that exhausts the host's memory.
+const maxTextImage = 16 << 20
+
+// grow checks that n more bytes keep the image within maxTextImage.
+func grow(b *Builder, directive string, n int64) error {
+	if size := int64(b.PC()-b.org) + n; size > maxTextImage {
+		return fmt.Errorf("%s: the image would grow to %d bytes, past the %d-byte limit", directive, size, maxTextImage)
+	}
+	return nil
+}
+
 func assembleDirective(b *Builder, name, rest string) error {
 	fields := splitOperands(rest)
 	switch strings.ToLower(name) {
@@ -150,6 +164,9 @@ func assembleDirective(b *Builder, name, rest string) error {
 		if v < 0 {
 			return fmt.Errorf(".space %d: negative length", v)
 		}
+		if err := grow(b, ".space "+rest, v); err != nil {
+			return err
+		}
 		b.Space(int(v))
 	case ".align":
 		v, err := parseInt(rest)
@@ -159,11 +176,19 @@ func assembleDirective(b *Builder, name, rest string) error {
 		if v <= 0 || v > 1<<31 || v&(v-1) != 0 {
 			return fmt.Errorf(".align %d: not a power of two from 1 to 0x80000000", v)
 		}
+		if err := grow(b, ".align "+rest, (v-int64(b.PC())%v)%v); err != nil {
+			return err
+		}
 		b.Align(int(v))
 	case ".org":
 		v, err := parseInt(rest)
 		if err != nil {
 			return err
+		}
+		if addr := uint32(v); addr > b.PC() {
+			if err := grow(b, ".org "+rest, int64(addr-b.PC())); err != nil {
+				return err
+			}
 		}
 		if err := b.Org(uint32(v)); err != nil {
 			return err

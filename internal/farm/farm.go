@@ -8,13 +8,16 @@
 // simulated 780s measured in parallel — and at that scale the harness
 // itself must survive partial failure. The invariant everything here
 // defends: partial failure must never silently bias the merged
-// histograms. A worker panic becomes a typed error and a retried
-// instance; a killed worker's in-flight instance is rescued — resumed
+// histograms. A killed worker's in-flight instance is rescued — resumed
 // from its newest checkpoint generation on a surviving worker, which is
 // bit-identical to never having been disturbed (the checkpoint layer's
-// proven contract); sustained failure sheds instances into an explicit
-// outcome ledger instead of merging partial counts; and farm-wide
-// interruption checkpoints every live instance for a later resume.
+// proven contract). A failed attempt — a typed run error, a recovered
+// panic, a result that would not persist — sheds its instance into an
+// explicit outcome ledger with the error as its cause, instead of
+// merging partial counts: the simulator is deterministic, so a second
+// attempt would fail the same way. Farm-wide interruption checkpoints
+// every live instance, and Resume re-runs every instance without a
+// persisted result, shed ones included.
 // TestFarmChaosRescue holds the whole stack to that invariant under
 // -race, with workers dying mid-sweep and the fault plane active.
 package farm
@@ -29,7 +32,6 @@ import (
 	"time"
 
 	"vax780/internal/core"
-	"vax780/internal/cpu"
 	"vax780/internal/fault"
 	"vax780/internal/workload"
 )
@@ -85,8 +87,6 @@ type Config struct {
 	Cycles uint64
 	// Profiles names the workload rotation (default: all five of §2.2).
 	Profiles []string
-	// Machine configures every instance's machine.
-	Machine cpu.Config
 	// Fault, when set, attaches a fault-injection plane to every
 	// instance, with the stream seed decorrelated per instance (nil =
 	// clean runs).
@@ -100,22 +100,6 @@ type Config struct {
 	// CheckpointEvery is the per-instance checkpoint period in cycles
 	// (workload.DefaultCheckpointEvery when zero).
 	CheckpointEvery uint64
-	// Watchdog is the per-instance progress watchdog budget in cycles
-	// (workload.DefaultWatchdogCycles when zero): a wedged instance
-	// becomes a typed failure, not a stuck worker.
-	Watchdog uint64
-	// Retries caps how many times one instance is re-attempted after a
-	// failure before it is shed (default 2). Rescues after worker death
-	// do not count against it — they are the farm's fault.
-	Retries int
-	// FailureBudget caps total failed attempts across the farm; past it
-	// every further failure sheds its instance immediately (graceful
-	// degradation instead of retry storms). Default: Instances.
-	FailureBudget int
-	// BackoffBase and BackoffCap shape the capped exponential backoff
-	// before a failed instance is retried (defaults 50ms and 2s).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// Deadline bounds the farm's wall-clock time (none when zero); an
 	// expired deadline checkpoints every live instance and returns
 	// *Interrupted, exactly like a signal.
@@ -136,18 +120,6 @@ func (c Config) normalized() Config {
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = workload.DefaultCheckpointEvery
-	}
-	if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.FailureBudget == 0 {
-		c.FailureBudget = c.Instances
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 50 * time.Millisecond
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 2 * time.Second
 	}
 	return c
 }
@@ -188,7 +160,7 @@ type Result struct {
 	Rescued   int
 	Shed      int
 	Paused    int
-	Failures  int    // failed attempts observed (retried or shed)
+	Failures  int    // failed attempts, each of which shed its instance
 	Lost      int    // workers dead at the end
 	Cycles    uint64 // cycles contributed to the merge
 }
@@ -256,12 +228,6 @@ func (f *Farm) deriveInstance(i int) *instance {
 	}
 }
 
-// delayedRetry is a failed instance waiting out its backoff.
-type delayedRetry struct {
-	at   time.Time
-	inst *instance
-}
-
 // Run executes the farm to drain: every instance completed, shed, or
 // paused. It returns the merged result together with a typed error for
 // the two non-clean endings — *Interrupted (resumable pause) and
@@ -319,15 +285,8 @@ func (f *Farm) Run(ctx context.Context) (*Result, error) {
 		outstanding int
 		live        = cfg.Workers
 		failures    int
-		delayed     []delayedRetry
 		paused      bool
 		pauseCause  error
-		// One reusable retry timer for the whole loop. go.mod says go 1.22,
-		// so timers keep their pre-1.23 semantics: a fired timer's tick
-		// stays buffered in C, a stale tick for the next pass unless the
-		// Stop-and-drain below reads it, and a time.After per pass would
-		// hold a live timer until it fired.
-		retryTimer *time.Timer
 	)
 	shed := func(inst *instance, cause string, cycle uint64) {
 		inst.status = StatusShed
@@ -339,51 +298,25 @@ func (f *Farm) Run(ctx context.Context) (*Result, error) {
 		inst.cause = cause
 		inst.cycle = cycle
 	}
-	// parkQueued empties the queue and the backoff pen into a terminal
-	// state — paused on interruption, shed on pool exhaustion.
+	// parkQueued empties the queue into a terminal state — paused on
+	// interruption, shed on pool exhaustion.
 	parkQueued := func(park func(*instance, string, uint64), cause string) {
 		for _, inst := range queue {
 			park(inst, cause, inst.cycle)
 		}
-		for _, d := range delayed {
-			park(d.inst, cause, d.inst.cycle)
-		}
-		queue, delayed = nil, nil
+		queue = nil
 	}
 
 	for {
-		if live == 0 && outstanding == 0 && len(queue)+len(delayed) > 0 {
+		if live == 0 && outstanding == 0 && len(queue) > 0 {
 			parkQueued(shed, "no workers left")
 		}
-		if outstanding == 0 && len(queue) == 0 && len(delayed) == 0 {
+		if outstanding == 0 && len(queue) == 0 {
 			break
 		}
 		var dispatchCh chan *instance
 		if !paused && live > 0 && len(queue) > 0 {
 			dispatchCh = dispatch
-		}
-		var timerC <-chan time.Time
-		if !paused && len(delayed) > 0 {
-			next := delayed[0].at
-			for _, d := range delayed[1:] {
-				if d.at.Before(next) {
-					next = d.at
-				}
-			}
-			if retryTimer == nil {
-				retryTimer = time.NewTimer(time.Until(next))
-			} else {
-				// Stop+drain before Reset: if the timer fired while we were
-				// in another arm, its tick is still sitting in C.
-				if !retryTimer.Stop() {
-					select {
-					case <-retryTimer.C:
-					default:
-					}
-				}
-				retryTimer.Reset(time.Until(next))
-			}
-			timerC = retryTimer.C
 		}
 		var doneC <-chan struct{}
 		if !paused {
@@ -398,17 +331,6 @@ func (f *Farm) Run(ctx context.Context) (*Result, error) {
 			inst.attempts++
 			outstanding++
 
-		case now := <-timerC:
-			rest := delayed[:0]
-			for _, d := range delayed {
-				if !d.at.After(now) {
-					queue = append(queue, d.inst)
-				} else {
-					rest = append(rest, d)
-				}
-			}
-			delayed = rest
-
 		case <-doneC:
 			paused = true
 			pauseCause = ctx.Err()
@@ -418,7 +340,7 @@ func (f *Farm) Run(ctx context.Context) (*Result, error) {
 			outstanding--
 			switch ev.kind {
 			case evCompleted:
-				if ev.inst.rescues > 0 || ev.inst.attempts > 1 {
+				if ev.inst.rescues > 0 {
 					ev.inst.status = StatusRescued
 				} else {
 					ev.inst.status = StatusCompleted
@@ -429,22 +351,11 @@ func (f *Farm) Run(ctx context.Context) (*Result, error) {
 				pause(ev.inst, ev.err.Error(), ev.cycles)
 
 			case evFailed:
+				// Final, pausing or not: the simulator is deterministic,
+				// so another attempt would replay the failure. A resumed
+				// farm re-runs the instance, after a host fault is mended.
 				failures++
-				switch {
-				case paused:
-					// No retries during a pause drain; the resume gets
-					// a fresh attempt allowance anyway.
-					pause(ev.inst, ev.err.Error(), ev.cycles)
-				case ev.inst.attempts > cfg.Retries:
-					shed(ev.inst, fmt.Sprintf("retries exhausted: %v", ev.err), ev.cycles)
-				case failures > cfg.FailureBudget:
-					shed(ev.inst, fmt.Sprintf("failure budget exhausted: %v", ev.err), ev.cycles)
-				default:
-					ev.inst.status = StatusPending
-					ev.inst.cycle = ev.cycles
-					delay := backoff(cfg.BackoffBase, cfg.BackoffCap, ev.inst.attempts)
-					delayed = append(delayed, delayedRetry{at: time.Now().Add(delay), inst: ev.inst})
-				}
+				shed(ev.inst, ev.err.Error(), ev.cycles)
 
 			case evDied:
 				live--
@@ -456,17 +367,17 @@ func (f *Farm) Run(ctx context.Context) (*Result, error) {
 				case live == 0:
 					shed(ev.inst, fmt.Sprintf("worker %d died with no survivors", ev.worker), ev.cycles)
 				default:
-					// Rescue: head of the queue, no backoff — the
-					// instance did nothing wrong, and its newest
-					// checkpoint generation is ready on disk.
+					// Rescue: head of the queue — the instance did
+					// nothing wrong, and its newest checkpoint
+					// generation is ready on disk.
 					ev.inst.status = StatusPending
 					queue = append([]*instance{ev.inst}, queue...)
 				}
+
+			default:
+				panic(fmt.Sprintf("farm: event kind %d has no arm in Run", ev.kind))
 			}
 		}
-	}
-	if retryTimer != nil {
-		retryTimer.Stop()
 	}
 	close(dispatch)
 	// Bounded: dispatch just closed above, so every worker falls out of its
@@ -493,18 +404,6 @@ func peek(queue []*instance) *instance {
 		return nil
 	}
 	return queue[0]
-}
-
-// backoff is the capped exponential retry delay for attempt n (1-based).
-func backoff(base, cap time.Duration, attempt int) time.Duration {
-	d := base
-	for i := 1; i < attempt && d < cap; i++ {
-		d *= 2
-	}
-	if d > cap {
-		d = cap
-	}
-	return d
 }
 
 // merge folds the per-worker local stores into per-profile sums and one

@@ -9,7 +9,8 @@ import (
 
 // The farm's goroutine-exit check: every farm test defers it, so after
 // each run shape — clean, sharded, chaos kills, pool exhaustion, the
-// pause drain and retry with backoff — no worker goroutine survives Run.
+// pause drain, shedding on failure and resume — no worker goroutine
+// survives Run.
 
 // workerGoroutines counts live goroutines with a (*worker) frame — the
 // pool itself, not the test goroutine (whose frames are farm.TestXxx).

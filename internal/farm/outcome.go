@@ -17,13 +17,13 @@ const (
 	// attempt, no rescue needed; its histogram is in the merge.
 	StatusCompleted
 	// StatusRescued: finished its full cycle budget, but only after at
-	// least one rescue or retry (worker death, panic, machine failure);
-	// its histogram is in the merge and is bit-identical to what an
-	// undisturbed run would have produced.
+	// least one rescue (its worker died mid-attempt); its histogram is in
+	// the merge and is bit-identical to what an undisturbed run would
+	// have produced.
 	StatusRescued
-	// StatusShed: abandoned after exhausting its retry allowance or the
-	// farm-wide failure budget; excluded from the merge so sustained
-	// failure degrades coverage rather than poisoning results.
+	// StatusShed: abandoned after a failed attempt, or for want of a
+	// live worker; excluded from the merge so failure degrades coverage
+	// rather than poisoning results. A resumed farm re-runs it.
 	StatusShed
 	// StatusPaused: stopped by farm-wide interruption (signal or
 	// deadline) with a final checkpoint where one was possible; a
@@ -70,7 +70,7 @@ type Outcome struct {
 	Attempts int    // run attempts started (0 if never dispatched)
 	Rescues  int    // attempts lost to worker death and re-run elsewhere
 	Cause    string // why it shed or paused ("" for clean completion)
-	Cycle    uint64 // machine cycle at the final event (budget if completed)
+	Cycle    uint64 // machine cycle at the final event (budget if completed, where it stopped if failed)
 }
 
 // WorkerPanic is the structured form of a panic recovered inside a

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"sync"
 
-	"vax780/internal/checkpoint"
 	"vax780/internal/core"
-	"vax780/internal/cpu"
 	"vax780/internal/workload"
 )
 
@@ -21,7 +19,7 @@ const (
 	// histogram is in the worker's local store and its result persisted.
 	evCompleted eventKind = iota
 	// evFailed: the attempt ended in an error or a recovered panic;
-	// err carries the typed cause. The instance may be retried.
+	// err carries the typed cause. The instance is shed.
 	evFailed
 	// evPaused: farm-wide cancellation or deadline stopped the attempt
 	// with a final checkpoint; err is the *workload.Interrupted.
@@ -52,9 +50,7 @@ type worker struct {
 	events   chan<- event
 	wg       *sync.WaitGroup
 
-	machine  cpu.Config
-	every    uint64 // checkpoint period (cycles)
-	watchdog uint64
+	every uint64 // checkpoint period (cycles)
 
 	// Kill plumbing: the scripted chaos switch, die after killAfter chunk
 	// callbacks, cumulative across instances (0 = never). It is checked
@@ -74,9 +70,7 @@ func newWorker(id int, f *Farm, ctx context.Context, dispatch <-chan *instance,
 		dispatch: dispatch,
 		events:   events,
 		wg:       wg,
-		machine:  f.cfg.Machine,
 		every:    f.cfg.CheckpointEvery,
-		watchdog: f.cfg.Watchdog,
 		local:    make([]*core.Histogram, len(f.profiles)),
 	}
 	for i := range w.local {
@@ -116,7 +110,9 @@ func (w *worker) loop() {
 // event. The recover distinguishes the kill-switch sentinel (worker
 // death: the attempt wrote no final checkpoint, exactly like a process
 // dying) from an instance panic (recovered into a typed *WorkerPanic and
-// reported as a retryable failure).
+// reported as a failure). A failure carries the machine cycle where the
+// run stopped when the supervisor reports one (*workload.Failed), and
+// the last chunk boundary otherwise.
 func (w *worker) attempt(inst *instance) (ev event, dead bool) {
 	var lastCycle uint64
 	defer func() {
@@ -136,7 +132,6 @@ func (w *worker) attempt(inst *instance) (ev event, dead bool) {
 	sup := workload.Supervisor{
 		CheckpointDir:   inst.dir,
 		CheckpointEvery: w.every,
-		Watchdog:        w.watchdog,
 		OnChunk: func(cycle uint64) {
 			lastCycle = cycle
 			w.chunks++
@@ -145,7 +140,13 @@ func (w *worker) attempt(inst *instance) (ev event, dead bool) {
 			}
 		},
 	}
-	res, err := w.execute(inst, sup)
+	// An instance with a checkpoint generation resumes from it (the
+	// rescue path, bit-identical to never having been interrupted).
+	res, err := workload.ResumeOrRun(w.ctx, workload.Spec{
+		Profile: inst.prof,
+		Cycles:  inst.cycles,
+		Fault:   inst.fcfg,
+	}, sup)
 	var intr *workload.Interrupted
 	switch {
 	case err == nil:
@@ -158,32 +159,12 @@ func (w *worker) attempt(inst *instance) (ev event, dead bool) {
 	case errors.As(err, &intr):
 		return event{kind: evPaused, worker: w.id, inst: inst, cycles: intr.Cycle, err: err}, false
 	default:
-		return event{kind: evFailed, worker: w.id, inst: inst, cycles: lastCycle,
+		cycle := lastCycle
+		var failed *workload.Failed
+		if errors.As(err, &failed) {
+			cycle = failed.Cycle
+		}
+		return event{kind: evFailed, worker: w.id, inst: inst, cycles: cycle,
 			err: fmt.Errorf("instance %d: %w", inst.id, err)}, false
 	}
-}
-
-// execute picks the run path for one attempt: resume from the newest
-// checkpoint generation when the instance has one (the rescue path —
-// bit-identical to never having been interrupted), fresh start otherwise.
-func (w *worker) execute(inst *instance, sup workload.Supervisor) (*workload.Result, error) {
-	if inst.dir != "" {
-		d, err := checkpoint.Open(inst.dir, 0)
-		if err != nil {
-			return nil, fmt.Errorf("instance %d checkpoints: %w", inst.id, err)
-		}
-		gens, err := d.Generations()
-		if err != nil {
-			return nil, fmt.Errorf("instance %d checkpoints: %w", inst.id, err)
-		}
-		if len(gens) > 0 {
-			return workload.ResumeSupervised(w.ctx, inst.dir, sup)
-		}
-	}
-	return workload.RunSupervised(w.ctx, workload.Spec{
-		Profile: inst.prof,
-		Cycles:  inst.cycles,
-		Machine: w.machine,
-		Fault:   inst.fcfg,
-	}, sup)
 }

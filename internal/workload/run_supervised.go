@@ -55,11 +55,9 @@ type Supervisor struct {
 	// (created if needed). Empty disables.
 	CheckpointDir string
 	// CheckpointEvery is the auto-checkpoint period in cycles
-	// (DefaultCheckpointEvery when zero).
+	// (DefaultCheckpointEvery when zero). The directory keeps the newest
+	// checkpoint.DefaultKeep generations.
 	CheckpointEvery uint64
-	// Keep is the number of snapshot generations retained
-	// (checkpoint.DefaultKeep when zero).
-	Keep int
 	// Watchdog is the progress watchdog budget in cycles
 	// (DefaultWatchdogCycles when zero).
 	Watchdog uint64
@@ -111,6 +109,19 @@ func (e *Interrupted) Error() string {
 
 func (e *Interrupted) Unwrap() error { return e.Cause }
 
+// Failed reports a supervised run that stopped on a failure of the
+// machine, the kernel or the checkpoint writer, at the machine cycle
+// where it stopped. errors.Is and errors.As see through Failed to its
+// Cause, such as ErrUnexpectedHalt or a *cpu.MachineError.
+type Failed struct {
+	Cause error
+	Cycle uint64 // machine cycle at the failure
+}
+
+func (e *Failed) Error() string { return fmt.Sprintf("%v (at cycle %d)", e.Cause, e.Cycle) }
+
+func (e *Failed) Unwrap() error { return e.Cause }
+
 // RunSupervised executes one workload under the supervisor.
 func RunSupervised(ctx context.Context, spec Spec, sup Supervisor) (*Result, error) {
 	var plane *fault.Plane
@@ -130,7 +141,7 @@ func RunSupervised(ctx context.Context, spec Spec, sup Supervisor) (*Result, err
 // Unless sup.CheckpointDir says otherwise, further checkpoints go back
 // to dir.
 func ResumeSupervised(ctx context.Context, dir string, sup Supervisor) (*Result, error) {
-	d, err := checkpoint.Open(dir, sup.Keep)
+	d, err := checkpoint.Open(dir, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +236,7 @@ func (s *session) supervise(ctx context.Context, fcfg *fault.Config, sup Supervi
 	var dir *checkpoint.Dir
 	if sup.CheckpointDir != "" {
 		var err error
-		dir, err = checkpoint.Open(sup.CheckpointDir, sup.Keep)
+		dir, err = checkpoint.Open(sup.CheckpointDir, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -276,21 +287,20 @@ func (s *session) supervise(ctx context.Context, fcfg *fault.Config, sup Supervi
 		if res.Err != nil {
 			if errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded) {
 				if err := writeCkpt(); err != nil {
-					return nil, fmt.Errorf("interrupted at cycle %d and the final checkpoint failed: %w",
-						m.Cycle(), err)
+					return nil, &Failed{Cause: fmt.Errorf("interrupted, and the final checkpoint failed: %w", err), Cycle: m.Cycle()}
 				}
 				return nil, &Interrupted{Cause: res.Err, Cycle: m.Cycle(), Checkpoint: lastCkpt}
 			}
-			return nil, fmt.Errorf("workload %s: run: %w", s.p.Name, res.Err)
+			return nil, &Failed{Cause: fmt.Errorf("workload %s: run: %w", s.p.Name, res.Err), Cycle: m.Cycle()}
 		}
 		if res.Halted {
-			return nil, fmt.Errorf("workload %s: %w (kernel fatal)", s.p.Name, ErrUnexpectedHalt)
+			return nil, &Failed{Cause: fmt.Errorf("workload %s: %w (kernel fatal)", s.p.Name, ErrUnexpectedHalt), Cycle: m.Cycle()}
 		}
 		if sup.OnChunk != nil {
 			sup.OnChunk(m.Cycle())
 		}
 		if err := writeCkpt(); err != nil {
-			return nil, err
+			return nil, &Failed{Cause: err, Cycle: m.Cycle()}
 		}
 	}
 	if stopAt < s.cycles {
@@ -299,32 +309,13 @@ func (s *session) supervise(ctx context.Context, fcfg *fault.Config, sup Supervi
 	return s.result(), nil
 }
 
-// RunCompositeSupervised measures the five-workload composite under the
-// supervisor, checkpointing each workload into its own subdirectory of
-// sup.CheckpointDir. With resume set, workloads whose subdirectory holds
-// a loadable snapshot continue from it — completed workloads reconstruct
-// their Result without re-running — so a crashed or interrupted composite
-// picks up where it stopped.
-func RunCompositeSupervised(ctx context.Context, cyclesEach uint64, mcfg cpu.Config, sup Supervisor, resume bool) (*Composite, error) {
-	comp := &Composite{Hist: &core.Histogram{}}
-	for _, p := range All() {
-		sub := sup
-		if sup.CheckpointDir != "" {
-			sub.CheckpointDir = filepath.Join(sup.CheckpointDir, p.Name)
-		}
-		r, err := runOneComposite(ctx, p, cyclesEach, mcfg, sub, resume)
-		if err != nil {
-			return nil, err
-		}
-		comp.Runs = append(comp.Runs, r)
-		comp.Hist.Add(r.Hist)
-	}
-	return comp, nil
-}
-
-func runOneComposite(ctx context.Context, p Profile, cyclesEach uint64, mcfg cpu.Config, sup Supervisor, resume bool) (*Result, error) {
-	if resume && sup.CheckpointDir != "" {
-		d, err := checkpoint.Open(sup.CheckpointDir, sup.Keep)
+// ResumeOrRun continues the run checkpointed in sup.CheckpointDir when
+// that directory holds a snapshot generation, and starts spec afresh
+// otherwise. It is the resume rule of the farm's instances and of a
+// resumed composite: a run with no generation yet had not started.
+func ResumeOrRun(ctx context.Context, spec Spec, sup Supervisor) (*Result, error) {
+	if sup.CheckpointDir != "" {
+		d, err := checkpoint.Open(sup.CheckpointDir, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -335,7 +326,34 @@ func runOneComposite(ctx context.Context, p Profile, cyclesEach uint64, mcfg cpu
 		if len(gens) > 0 {
 			return ResumeSupervised(ctx, sup.CheckpointDir, sup)
 		}
-		// No generations yet: this workload had not started; fall through.
 	}
-	return RunSupervised(ctx, Spec{Profile: p, Cycles: cyclesEach, Machine: mcfg}, sup)
+	return RunSupervised(ctx, spec, sup)
+}
+
+// RunCompositeSupervised measures the five-workload composite under the
+// supervisor, checkpointing each workload into its own subdirectory of
+// sup.CheckpointDir. With resume set, each workload goes through
+// ResumeOrRun — completed workloads reconstruct their Result from their
+// final snapshot without re-running — so a crashed or interrupted
+// composite picks up where it stopped; without it every workload starts
+// fresh.
+func RunCompositeSupervised(ctx context.Context, cyclesEach uint64, mcfg cpu.Config, sup Supervisor, resume bool) (*Composite, error) {
+	run := RunSupervised
+	if resume {
+		run = ResumeOrRun
+	}
+	comp := &Composite{Hist: &core.Histogram{}}
+	for _, p := range All() {
+		sub := sup
+		if sup.CheckpointDir != "" {
+			sub.CheckpointDir = filepath.Join(sup.CheckpointDir, p.Name)
+		}
+		r, err := run(ctx, Spec{Profile: p, Cycles: cyclesEach, Machine: mcfg}, sub)
+		if err != nil {
+			return nil, err
+		}
+		comp.Runs = append(comp.Runs, r)
+		comp.Hist.Add(r.Hist)
+	}
+	return comp, nil
 }

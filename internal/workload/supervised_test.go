@@ -378,6 +378,14 @@ func TestTypedErrors(t *testing.T) {
 			var me *cpu.MachineError
 			return errors.As(err, &me)
 		}, "*cpu.MachineError"},
+		// The farm's ledger takes a failed instance's cycle from here.
+		{"RunSupervised/failure-cycle", func() error {
+			_, err := RunSupervised(context.Background(), Spec{Profile: p, Cycles: cycles, Fault: &storm}, Supervisor{})
+			return err
+		}, func(err error) bool {
+			var f *Failed
+			return errors.As(err, &f) && f.Cycle > 0
+		}, "*Failed with the cycle of the halt"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if err := c.run(); !c.match(err) {
@@ -422,5 +430,31 @@ func TestCompositeSupervisedResume(t *testing.T) {
 	}
 	for i := range comp.Runs {
 		requireIdentical(t, comp.Runs[i].Profile.Name, baseComp.Runs[i], comp.Runs[i])
+	}
+}
+
+// TestCompositeResumeRule: a composite whose checkpoint directory holds
+// generations continues from them only when asked to resume. The first
+// workload is stopped at half its budget; a second composite with an
+// earlier stop mark then stops at that mark when it starts afresh, and
+// at the newest generation, past the mark, when it resumes.
+func TestCompositeResumeRule(t *testing.T) {
+	const cyclesEach = 120_000
+	dir := filepath.Join(t.TempDir(), "comp")
+	sup := Supervisor{CheckpointDir: dir, CheckpointEvery: cyclesEach / 3, StopAt: cyclesEach / 2}
+	var intr *Interrupted
+	if _, err := RunCompositeSupervised(context.Background(), cyclesEach, cpu.Config{}, sup, false); !errors.As(err, &intr) {
+		t.Fatalf("want *Interrupted from the stop mark, got %v", err)
+	}
+	sup.StopAt = cyclesEach / 4
+	for _, resume := range []bool{false, true} {
+		_, err := RunCompositeSupervised(context.Background(), cyclesEach, cpu.Config{}, sup, resume)
+		if !errors.As(err, &intr) {
+			t.Fatalf("resume=%v: want *Interrupted, got %v", resume, err)
+		}
+		if fresh := intr.Cycle < cyclesEach/2; fresh == resume {
+			t.Errorf("resume=%v: stopped at cycle %d; a fresh run stops near %d, a resumed one at %d or later",
+				resume, intr.Cycle, sup.StopAt, cyclesEach/2)
+		}
 	}
 }
