@@ -6,8 +6,9 @@
 # injection into a full OS workload, DESIGN.md "Fault model & machine
 # checks"), the farm soak, the crash-consistency proof (kill a
 # checkpointed run mid-write, resume, demand bit-identical results;
-# DESIGN.md "Checkpoint format & run supervision"), and a short fuzz smoke
-# over the disassembler, instruction decoder, and checkpoint loader.
+# DESIGN.md "Checkpoint format & run supervision"), vaxrepro's resume at
+# the command line, and a short fuzz smoke over the disassembler,
+# instruction decoder, and checkpoint loader.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -20,12 +21,12 @@ FUZZTIME ?= 10s
 # runs; at history_size=7 it was reported in 5 of 5.
 RACEGO = GORACE=history_size=7 $(GO)
 
-.PHONY: check build gofmt vet latency latency-truth test race soak farmsoak crash-consistency fuzz-smoke bench
+.PHONY: check build gofmt vet latency latency-truth test race soak farmsoak crash-consistency repro-resume fuzz-smoke bench
 
 # CI's full check (.github/workflows/check.yml) runs each of these
 # targets once, as a step of its own; a target added here needs a step
 # there.
-check: build gofmt vet latency-truth race soak farmsoak crash-consistency fuzz-smoke
+check: build gofmt vet latency-truth race soak farmsoak crash-consistency repro-resume fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -83,6 +84,20 @@ farmsoak:
 # results bit-identical to an uninterrupted run — under the race detector.
 crash-consistency:
 	$(RACEGO) test -race -run 'TestCheckpointResumeDeterminism|TestCrashConsistencyKillAndResume' ./internal/workload
+
+# vaxrepro's resume at the command line, in a temporary directory: a
+# composite interrupted by -deadline (or finished inside it; either exit
+# status is accepted) and resumed prints the tables of an uninterrupted
+# one byte for byte, and a run without -resume refuses the root the
+# first one used.
+repro-resume:
+	@d="$$(mktemp -d)" && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -o "$$d/vaxrepro" ./cmd/vaxrepro && cd "$$d" && \
+	./vaxrepro -cycles 2000000 > want && \
+	{ ./vaxrepro -cycles 2000000 -checkpoint ck -deadline 50ms > /dev/null || true; } && \
+	./vaxrepro -resume -checkpoint ck > got && cmp want got && \
+	if ./vaxrepro -cycles 2000000 -checkpoint ck > /dev/null; then \
+		echo "repro-resume: a run without -resume reused the root of an earlier one"; exit 1; fi
 
 # Short native-fuzz smoke per target; raise FUZZTIME for a real campaign.
 # -fuzzminimizetime 1s caps the time go test spends shrinking each new

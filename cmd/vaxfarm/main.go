@@ -11,6 +11,7 @@
 // non-zero with one resume hint, the same contract as vaxsim; -resume
 // continues the whole farm from its root directory with results
 // bit-identical to an undisturbed sweep, re-running shed instances too.
+// A run without -resume refuses a root that holds an earlier farm.
 //
 // Usage:
 //
@@ -21,15 +22,12 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 
 	"vax780/internal/cli"
 	"vax780/internal/core"
@@ -68,9 +66,6 @@ func main() {
 			fatalf("-resume requires -checkpoint <dir>")
 		}
 		f, err = farm.Resume(*ckptRoot)
-		if err != nil {
-			fatalf("%v", err)
-		}
 	} else {
 		cfg := farm.Config{
 			Instances:       *instances,
@@ -78,7 +73,6 @@ func main() {
 			Cycles:          *cycles,
 			Root:            *ckptRoot,
 			CheckpointEvery: *ckptEvery,
-			Deadline:        *deadline,
 			Kills:           parseChaos(*chaos),
 		}
 		if *wl != "all" {
@@ -92,20 +86,19 @@ func main() {
 			cfg.Fault = &c
 		}
 		f, err = farm.New(cfg)
-		if err != nil {
-			fatalf("%v", err)
-		}
 	}
+	cli.Check("vaxfarm", err)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.RunContext(*deadline)
 	defer stop()
 	res, err := f.Run(ctx)
 	if err != nil {
 		var intr *farm.Interrupted
+		var inUse *farm.RootInUse
 		var pe *farm.PoolExhausted
 		switch {
-		case errors.As(err, &intr) && intr.Root != "":
-			fatalf("%v (resume with: vaxfarm -resume -checkpoint %s)", intr, intr.Root)
+		case errors.As(err, &intr) && intr.Root != "", errors.As(err, &inUse):
+			fatalf("%v (resume with: vaxfarm -resume -checkpoint %s)", err, *ckptRoot)
 		case errors.As(err, &intr):
 			fatalf("%v (no -checkpoint root: paused instances are not resumable)", intr)
 		case errors.As(err, &pe):

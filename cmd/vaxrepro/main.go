@@ -3,12 +3,14 @@
 // figure of Emer & Clark (ISCA 1984) and compared against the published
 // numbers.
 //
-// The workloads run under the run supervisor: -checkpoint enables
-// periodic crash-safe snapshots (one subdirectory per workload),
-// -deadline bounds the wall-clock time, SIGINT/SIGTERM trigger a final
-// checkpoint before a clean non-zero exit, and -resume continues an
-// interrupted reproduction with tables bit-identical to an uninterrupted
-// run.
+// The five workloads run as a five-instance farm (internal/farm) at the
+// registry seeds, one worker per workload up to GOMAXPROCS. -checkpoint
+// names the farm's root, under which each workload snapshots periodically
+// and persists its result; -deadline bounds the wall-clock time;
+// SIGINT/SIGTERM trigger a final checkpoint before a clean non-zero exit;
+// and -resume continues an interrupted reproduction, at the cycle budget
+// the root records, with tables bit-identical to an uninterrupted run. A
+// run without -resume refuses a root that holds an earlier run.
 //
 // Usage:
 //
@@ -19,18 +21,17 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
+	"runtime"
 	"strings"
-	"syscall"
 
 	"vax780/internal/cli"
 	"vax780/internal/core"
 	"vax780/internal/cpu"
 	"vax780/internal/experiments"
+	"vax780/internal/farm"
 	"vax780/internal/report"
 	"vax780/internal/vax"
 	"vax780/internal/workload"
@@ -41,9 +42,9 @@ func main() {
 	only := flag.String("only", "", "run only the experiment with this ID (e.g. T8, F1, S4.2)")
 	summary := flag.Bool("summary", false, "print only the pass/fail summary")
 	perWorkload := flag.Bool("per-workload", false, "also print per-workload variation (the paper reports only the composite)")
-	ckptDir := flag.String("checkpoint", "", "checkpoint directory: enables periodic crash-safe snapshots, one subdirectory per workload")
+	ckptDir := flag.String("checkpoint", "", "root directory: enables periodic crash-safe snapshots and -resume")
 	ckptEvery := flag.Uint64("checkpoint-every", workload.DefaultCheckpointEvery, "cycles between automatic checkpoints")
-	resume := flag.Bool("resume", false, "resume an interrupted reproduction from the -checkpoint directory")
+	resume := flag.Bool("resume", false, "resume the interrupted reproduction under the -checkpoint root, at its cycle budget")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget; an expired deadline checkpoints and exits non-zero")
 	flag.Parse()
 
@@ -51,19 +52,23 @@ func main() {
 		fatalf("-resume requires -checkpoint <dir>")
 	}
 
-	fmt.Fprintf(os.Stderr, "measuring composite: 5 workloads x %d cycles (%.1f simulated seconds)...\n",
-		*cycles, float64(*cycles*5)*float64(cpu.CycleNanoseconds)/1e9)
-	runCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	runCtx, stop := cli.RunContext(*deadline)
 	defer stop()
-	sup := workload.Supervisor{CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Deadline: *deadline}
-	comp, err := workload.RunCompositeSupervised(runCtx, *cycles, cpu.Config{}, sup, *resume)
-	if err != nil {
-		var intr *workload.Interrupted
-		if errors.As(err, &intr) && *ckptDir != "" {
-			fatalf("%v (resume with: vaxrepro -resume -checkpoint %s)", intr, *ckptDir)
-		}
-		fatalf("%v", err)
+	var f *farm.Farm
+	var err error
+	if *resume {
+		f, err = resumeComposite(*ckptDir)
+	} else {
+		fmt.Fprintf(os.Stderr, "measuring composite: 5 workloads x %d cycles (%.1f simulated seconds)...\n",
+			*cycles, float64(*cycles*5)*float64(cpu.CycleNanoseconds)/1e9)
+		f, err = farm.New(farmConfig(*cycles, *ckptDir, *ckptEvery))
 	}
+	cli.Check("vaxrepro", err)
+	comp, err := measure(runCtx, f)
+	if err != nil && *ckptDir != "" {
+		fatalf("%v (resume with: vaxrepro -resume -checkpoint %s)", err, *ckptDir)
+	}
+	cli.Check("vaxrepro", err)
 	ctx := experiments.NewContextFromComposite(comp, cpu.Config{})
 	outs := experiments.RunAll(ctx)
 	for _, o := range outs {
@@ -92,6 +97,51 @@ func main() {
 			[]string{"workload", "instructions", "CPI", "simple", "float", "char", "tb-miss/instr"}, rows)
 	}
 	fmt.Println(experiments.Summary(outs))
+}
+
+// farmConfig is the composite as a farm: the five registry profiles as
+// five instances, one worker each up to GOMAXPROCS.
+func farmConfig(cycles uint64, root string, every uint64) farm.Config {
+	return farm.Config{
+		Instances:       len(workload.All()),
+		RegistrySeeds:   true,
+		Workers:         min(len(workload.All()), runtime.GOMAXPROCS(0)),
+		Cycles:          cycles,
+		Root:            root,
+		CheckpointEvery: every,
+	}
+}
+
+// resumeComposite rebuilds the farm under root. A root that holds another
+// farm, such as vaxfarm's, is refused: its instances are not the registry
+// composite.
+func resumeComposite(root string) (*farm.Farm, error) {
+	f, err := farm.Resume(root)
+	if err == nil && !f.Config().RegistrySeeds {
+		return nil, fmt.Errorf("%s holds a farm that is not vaxrepro's composite; vaxfarm -resume resumes it", root)
+	}
+	return f, err
+}
+
+// measure runs the farm and assembles the composite from its per-profile
+// sums. A shed or paused workload leaves the composite short, so it is an
+// error carrying the farm's cause.
+func measure(ctx context.Context, f *farm.Farm) (*workload.Composite, error) {
+	res, err := f.Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	for _, o := range res.Ledger {
+		if o.Status == farm.StatusShed {
+			return nil, fmt.Errorf("%s shed: %s", o.Profile, o.Cause)
+		}
+	}
+	comp := &workload.Composite{Hist: res.Merged}
+	for _, ps := range res.ByProfile {
+		p, _ := workload.ByName(ps.Name) // New resolved every profile name
+		comp.Runs = append(comp.Runs, &workload.Result{Profile: p, Hist: ps.Hist, Counters: ps.Counters})
+	}
+	return comp, nil
 }
 
 func fatalf(format string, args ...any) {

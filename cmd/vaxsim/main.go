@@ -8,7 +8,8 @@
 // SIGINT/SIGTERM trigger a final checkpoint before a clean non-zero exit,
 // and -resume continues from the newest snapshot with results
 // bit-identical to an uninterrupted run. Without -checkpoint or -deadline
-// the supervisor writes no checkpoints and sets no deadline.
+// the supervisor writes no checkpoints and sets no deadline. -stats
+// applies to -program runs; a workload's statistics come from upcreport.
 //
 // Usage:
 //
@@ -21,13 +22,10 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"vax780/internal/asm"
@@ -69,6 +67,10 @@ func main() {
 		return
 	}
 
+	if *stats && (*resume || *wl != "") {
+		fatalf("-stats applies only to -program runs; reduce a workload's histogram with upcreport")
+	}
+
 	var hist *core.Histogram
 	switch {
 	case *resume:
@@ -91,7 +93,6 @@ func main() {
 		if fcfg != nil {
 			printInjection(res.Faults, res.HW)
 		}
-		_ = stats // the workload path reports via upcreport; -stats applies to -program
 	case *prog != "":
 		src, err := os.ReadFile(*prog)
 		if err != nil {
@@ -146,17 +147,15 @@ func main() {
 // with SIGINT/SIGTERM wired to a final checkpoint and a clean non-zero
 // exit. It only returns on success.
 func runSupervised(p *workload.Profile, dir string, every uint64, deadline time.Duration, resume bool, fcfg *fault.Config, cycles uint64) *workload.Result {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.RunContext(deadline)
 	defer stop()
-	sup := workload.Supervisor{CheckpointDir: dir, CheckpointEvery: every, Deadline: deadline}
+	sup := workload.Supervisor{CheckpointDir: dir, CheckpointEvery: every}
 	var res *workload.Result
 	var err error
 	if resume {
 		res, err = workload.ResumeSupervised(ctx, dir, sup)
 	} else {
-		res, err = workload.RunSupervised(ctx, workload.Spec{
-			Profile: *p, Cycles: cycles, Machine: cpu.Config{}, Fault: fcfg,
-		}, sup)
+		res, err = workload.RunSupervised(ctx, workload.Spec{Profile: *p, Cycles: cycles, Fault: fcfg}, sup)
 	}
 	if err != nil {
 		var intr *workload.Interrupted

@@ -369,7 +369,9 @@ func (im *Image) MustAddr(name string) uint32 {
 	return a
 }
 
-// Finish resolves fixups and returns the image.
+// Finish resolves fixups and returns the image. The image takes over the
+// builder's buffer and labels map without copying them, so the builder
+// must not be used after Finish.
 func (b *Builder) Finish() (*Image, error) {
 	for _, f := range b.fixups {
 		target, ok := b.labels[f.label]
@@ -410,9 +412,5 @@ func (b *Builder) Finish() (*Image, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
 	}
-	labels := make(map[string]uint32, len(b.labels))
-	for k, v := range b.labels {
-		labels[k] = v
-	}
-	return &Image{Org: b.org, Bytes: b.buf, Labels: labels, holes: b.holes}, nil
+	return &Image{Org: b.org, Bytes: b.buf, Labels: b.labels, holes: b.holes}, nil
 }

@@ -73,16 +73,15 @@ var ErrBadVersion = errors.New("unsupported checkpoint format version")
 type Meta struct {
 	// Profile is the workload profile name (internal/workload.ByName).
 	Profile string
-	// Seed is the effective generation seed of the run's profile. Fleet
-	// runs (internal/farm) derive per-instance seeds from the registry
-	// profile, so the name alone under-identifies the run; resume honors
-	// this field over the registry seed. Zero (snapshots predating the
-	// field — gob leaves absent fields zero) means the registry default.
+	// Seed is the generation seed the run's profile ran under. Farm
+	// instances (internal/farm) derive theirs from the registry profile's,
+	// so the name alone under-identifies the run; resume rebuilds the
+	// programs from this seed.
 	Seed int64
 	// TotalCycles is the run's full cycle budget; Cycle is how far the
 	// checkpointed run had progressed. Cycle >= TotalCycles marks a
-	// completed run (kept so a composite resume can reload finished
-	// workloads without re-running them).
+	// completed run, whose Result a resume reconstructs without running
+	// (a farm instance that completed but whose result did not persist).
 	TotalCycles uint64
 	Cycle       uint64
 	// Machine is the machine configuration of the run.

@@ -203,7 +203,7 @@ func TestDirIgnoresStaleTemp(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	stale := filepath.Join(d.Path(), "ckpt-123.tmp")
+	stale := filepath.Join(d.path, "ckpt-123.tmp")
 	if err := os.WriteFile(stale, []byte("half-written"), 0o666); err != nil {
 		t.Fatal(err)
 	}

@@ -48,9 +48,6 @@ func Open(path string, keep int) (*Dir, error) {
 	return &Dir{path: path, keep: keep}, nil
 }
 
-// Path returns the directory path.
-func (d *Dir) Path() string { return d.path }
-
 // name returns the generation filename for a snapshot at the given cycle.
 // Zero-padded so lexical order is cycle order.
 func name(cycle uint64) string {

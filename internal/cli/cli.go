@@ -6,9 +6,25 @@
 package cli
 
 import (
+	"context"
 	"fmt"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 )
+
+// RunContext is a command's run context: SIGINT and SIGTERM cancel it,
+// and so does the deadline when it is nonzero, the -deadline of vaxsim,
+// vaxfarm and vaxrepro. stop releases both.
+func RunContext(deadline time.Duration) (ctx context.Context, stop func()) {
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	if deadline <= 0 {
+		return ctx, stopSignals
+	}
+	ctx, cancel := context.WithTimeout(ctx, deadline)
+	return ctx, func() { cancel(); stopSignals() }
+}
 
 // Exitf reports a fatal error on stderr as "name: message" and exits
 // with the given code.

@@ -47,10 +47,10 @@ func NewContext(cyclesEach uint64, mcfg cpu.Config) (*Context, error) {
 	return NewContextFromComposite(comp, mcfg), nil
 }
 
-// NewContextFromComposite wraps an already-measured composite (e.g. one
-// assembled by workload.RunCompositeSupervised from checkpointed runs)
-// in an experiment context. Deterministic resume makes the resulting
-// tables bit-identical to an uninterrupted NewContext measurement.
+// NewContextFromComposite wraps an already-measured composite (such as
+// the one vaxrepro assembles from a farm's per-profile sums) in an
+// experiment context. Deterministic resume makes the resulting tables
+// bit-identical to an uninterrupted NewContext measurement.
 func NewContextFromComposite(comp *workload.Composite, mcfg cpu.Config) *Context {
 	cs, ib, ts, hw, instr := comp.HWTotals()
 	return &Context{

@@ -29,7 +29,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"vax780/internal/core"
 	"vax780/internal/fault"
@@ -81,6 +80,11 @@ type Config struct {
 	// seed derived as registry seed + i*SeedStride, so every instance is
 	// a distinct, deterministically reconstructible measurement.
 	Instances int
+	// RegistrySeeds derives instance i's seed as registry seed +
+	// (i/len(Profiles))*SeedStride instead, so the rotation's first round
+	// runs the registry profiles themselves: the composite vaxrepro
+	// measures.
+	RegistrySeeds bool
 	// Workers is the worker-pool width (default 4).
 	Workers int
 	// Cycles is the per-instance cycle budget (required).
@@ -100,10 +104,6 @@ type Config struct {
 	// CheckpointEvery is the per-instance checkpoint period in cycles
 	// (workload.DefaultCheckpointEvery when zero).
 	CheckpointEvery uint64
-	// Deadline bounds the farm's wall-clock time (none when zero); an
-	// expired deadline checkpoints every live instance and returns
-	// *Interrupted, exactly like a signal.
-	Deadline time.Duration
 	// Kills scripts worker deaths for chaos runs and tests.
 	Kills []Kill
 }
@@ -143,11 +143,12 @@ type instance struct {
 	cycle    uint64
 }
 
-// ProfileSum is one profile's share of the merge.
+// ProfileSum is one profile's share of the merge: the sums of its
+// completed instances' histograms and counters.
 type ProfileSum struct {
-	Name      string
-	Hist      *core.Histogram
-	Instances int // completed instances contributing
+	Name     string
+	Hist     *core.Histogram
+	Counters workload.Counters
 }
 
 // Result is what a farm run produced: the merged composite, the same
@@ -165,12 +166,13 @@ type Result struct {
 	Cycles    uint64 // cycles contributed to the merge
 }
 
-// Farm is a configured fleet. Build one with New (or Resume), run it
-// once with Run.
+// Farm is a configured fleet. Build one with New to start a run, or with
+// Resume to continue the run under a root; run it once with Run.
 type Farm struct {
 	cfg      Config
 	profiles []workload.Profile
 	insts    []*instance
+	resumed  bool
 	ran      atomic.Bool
 }
 
@@ -202,13 +204,21 @@ func New(cfg Config) (*Farm, error) {
 	return f, nil
 }
 
+// Config returns the configuration the farm runs, defaults filled in: for
+// a farm from Resume, the one its manifest records.
+func (f *Farm) Config() Config { return f.cfg }
+
 // deriveInstance builds instance i's identity. The derivation is pure in
 // (Config, i): resuming a farm from its manifest reconstructs the exact
 // same instances.
 func (f *Farm) deriveInstance(i int) *instance {
 	profIdx := i % len(f.profiles)
 	p := f.profiles[profIdx]
-	p.Seed += int64(i) * SeedStride
+	round := i
+	if f.cfg.RegistrySeeds {
+		round = i / len(f.profiles)
+	}
+	p.Seed += int64(round) * SeedStride
 	var fc *fault.Config
 	if f.cfg.Fault != nil {
 		c := *f.cfg.Fault
@@ -232,29 +242,26 @@ func (f *Farm) deriveInstance(i int) *instance {
 // paused. It returns the merged result together with a typed error for
 // the two non-clean endings — *Interrupted (resumable pause) and
 // *PoolExhausted (every worker died). The Result is meaningful in all
-// three cases; the ledger says exactly which instances stand where.
+// three cases; the ledger says exactly which instances stand where. A
+// farm from New whose Root holds an earlier run returns *RootInUse, and
+// no Result, before it writes anything. A wall-clock budget is the
+// context's deadline.
 func (f *Farm) Run(ctx context.Context) (*Result, error) {
 	if f.ran.Swap(true) {
 		return nil, fmt.Errorf("farm: Run called twice on one Farm")
 	}
 	cfg := f.cfg
-	if cfg.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
-		defer cancel()
-	}
-
-	resumed := make([]*core.Histogram, len(f.profiles))
-	for i := range resumed {
-		resumed[i] = &core.Histogram{}
-	}
-	var resumedCycles uint64
-	var queue []*instance
-	if cfg.Root != "" {
+	if cfg.Root != "" && !f.resumed {
 		if err := writeManifest(cfg.Root, cfg); err != nil {
 			return nil, err
 		}
 	}
+
+	sums := make([]ProfileSum, len(f.profiles))
+	for pi, p := range f.profiles {
+		sums[pi] = ProfileSum{Name: p.Name, Hist: &core.Histogram{}}
+	}
+	var queue []*instance
 	for _, inst := range f.insts {
 		// Classify what an earlier run already finished: a persisted
 		// result short-circuits the instance; anything else re-runs
@@ -264,8 +271,8 @@ func (f *Farm) Run(ctx context.Context) (*Result, error) {
 		} else if hist != nil {
 			inst.status = StatusCompleted
 			inst.cycle = meta.Cycles
-			resumed[inst.profIdx].Add(hist)
-			resumedCycles += meta.Cycles
+			sums[inst.profIdx].Hist.Add(hist)
+			sums[inst.profIdx].Counters.Add(*meta.Counters)
 			continue
 		}
 		queue = append(queue, inst)
@@ -346,6 +353,7 @@ func (f *Farm) Run(ctx context.Context) (*Result, error) {
 					ev.inst.status = StatusCompleted
 				}
 				ev.inst.cycle = ev.cycles
+				sums[ev.inst.profIdx].Counters.Add(ev.counters)
 
 			case evPaused:
 				pause(ev.inst, ev.err.Error(), ev.cycles)
@@ -385,7 +393,7 @@ func (f *Farm) Run(ctx context.Context) (*Result, error) {
 	// themselves are ctx-supervised via workload.RunSupervised.
 	wg.Wait()
 
-	res := f.merge(workers, resumed, resumedCycles)
+	res := f.merge(workers, sums)
 	res.Failures = failures
 	res.Lost = cfg.Workers - live
 	if paused {
@@ -406,21 +414,19 @@ func peek(queue []*instance) *instance {
 	return queue[0]
 }
 
-// merge folds the per-worker local stores into per-profile sums and one
-// composite, in (profile, resumed-then-worker-index) order. Every
-// addition is a uint64 add or a bit-OR (core.Histogram.Add), so the sum
-// is independent of which worker ran what — the property the merge
-// determinism tests pin down.
-func (f *Farm) merge(workers []*worker, resumed []*core.Histogram, resumedCycles uint64) *Result {
-	res := &Result{Merged: &core.Histogram{}, Cycles: resumedCycles}
-	for pi := range f.profiles {
-		sum := &core.Histogram{}
-		sum.Add(resumed[pi])
+// merge folds the per-worker local stores into the per-profile sums,
+// which already hold the resumed results and every completion's
+// counters, and those into one composite, in (profile,
+// resumed-then-worker-index) order. Every addition is a uint64 add or a
+// bit-OR (core.Histogram.Add), so the sum is independent of which worker
+// ran what — the property the merge determinism tests pin down.
+func (f *Farm) merge(workers []*worker, sums []ProfileSum) *Result {
+	res := &Result{Merged: &core.Histogram{}, ByProfile: sums}
+	for pi := range sums {
 		for _, w := range workers {
-			sum.Add(w.local[pi])
+			sums[pi].Hist.Add(w.local[pi])
 		}
-		res.ByProfile = append(res.ByProfile, ProfileSum{Name: f.profiles[pi].Name, Hist: sum})
-		res.Merged.Add(sum)
+		res.Merged.Add(sums[pi].Hist)
 	}
 	for _, inst := range f.insts {
 		o := Outcome{
@@ -434,22 +440,17 @@ func (f *Farm) merge(workers []*worker, resumed []*core.Histogram, resumedCycles
 		}
 		res.Ledger = append(res.Ledger, o)
 		switch inst.status {
-		case StatusCompleted:
-			res.Completed++
-			res.ByProfile[inst.profIdx].Instances++
 		case StatusRescued:
-			res.Completed++
 			res.Rescued++
-			res.ByProfile[inst.profIdx].Instances++
+			fallthrough
+		case StatusCompleted:
+			// A loaded result's cycle is its persisted one.
+			res.Completed++
+			res.Cycles += inst.cycle
 		case StatusShed:
 			res.Shed++
 		case StatusPaused:
 			res.Paused++
-		}
-		if inst.status == StatusCompleted || inst.status == StatusRescued {
-			if inst.attempts > 0 { // freshly run this Run, not preloaded
-				res.Cycles += inst.cycle
-			}
 		}
 	}
 	return res

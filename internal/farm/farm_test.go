@@ -3,11 +3,14 @@ package farm
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -242,25 +245,8 @@ func TestFarmPauseResume(t *testing.T) {
 	undisturbed.Root = t.TempDir()
 	want := runFarm(t, undisturbed)
 
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		// Cancel once the first instance has completed: the sweep then has
-		// results on disk, attempts in flight and instances queued, on a
-		// host of any speed. The equality below must hold wherever the
-		// cancel lands.
-		for ctx.Err() == nil {
-			if done, _ := filepath.Glob(filepath.Join(cfg.Root, "inst-*", "result.upc")); len(done) > 0 {
-				cancel()
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	res, err := f.Run(ctx)
+	// The equality below must hold wherever the cancel lands.
+	res, err := runUntilFirstResult(t, cfg)
 	var intr *Interrupted
 	if err == nil {
 		// The sweep beat the cancel; nothing was paused. Still a valid
@@ -286,6 +272,28 @@ func TestFarmPauseResume(t *testing.T) {
 	if !bytes.Equal(histBytes(t, final.Merged), histBytes(t, want.Merged)) {
 		t.Error("resumed farm composite differs from undisturbed farm")
 	}
+}
+
+// runUntilFirstResult runs cfg's farm and cancels it once the first
+// instance has completed: the sweep then has results on disk, attempts in
+// flight and instances queued, on a host of any speed.
+func runUntilFirstResult(t *testing.T, cfg Config) (*Result, error) {
+	t.Helper()
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for ctx.Err() == nil {
+			if done, _ := filepath.Glob(filepath.Join(cfg.Root, "inst-*", "result.upc")); len(done) > 0 {
+				cancel()
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	return f.Run(ctx)
 }
 
 // TestFarmPauseInFlight: cancelling a farm while an attempt is in flight
@@ -321,7 +329,7 @@ func TestFarmPauseInFlight(t *testing.T) {
 		t.Errorf("paused %d (error says %d), want 1: %+v", res.Paused, intr.Paused, res.Ledger)
 	}
 	for _, o := range res.Ledger {
-		if !o.Status.Terminal() {
+		if o.Status == StatusPending || o.Status == StatusRunning {
 			t.Errorf("instance %d left %s after the farm returned", o.ID, o.Status)
 		}
 	}
@@ -481,7 +489,9 @@ func TestFarmHostErrorResume(t *testing.T) {
 }
 
 // oldManifest is a farm.json as farms wrote it while Config still had
-// Machine, Watchdog, Retries, FailureBudget, BackoffBase and BackoffCap.
+// Machine, Watchdog, Retries, FailureBudget, BackoffBase, BackoffCap and
+// Deadline. While Resume read Deadline from the manifest, its 1 ms
+// interrupted every resumed run of this farm.
 const oldManifest = `{
   "Instances": 3,
   "Workers": 2,
@@ -520,14 +530,15 @@ const oldManifest = `{
   "FailureBudget": 3,
   "BackoffBase": 50000000,
   "BackoffCap": 2000000000,
-  "Deadline": 0,
+  "Deadline": 1000000,
   "Kills": null
 }
 `
 
 // TestFarmResumeOldManifest: a root whose farm.json holds the deleted
 // fields still resumes, into the farm it describes, and completes with
-// the merge of ground truth.
+// the merge of ground truth: a wall-clock budget is the caller's context
+// deadline, never the manifest's.
 func TestFarmResumeOldManifest(t *testing.T) {
 	defer checkGoroutineLeak(t)()
 	root := t.TempDir()
@@ -550,4 +561,199 @@ func TestFarmResumeOldManifest(t *testing.T) {
 		t.Fatalf("resumed farm did not complete: %+v", res.Ledger)
 	}
 	assertMergeEquals(t, res, expectHists(t, want))
+}
+
+// TestFarmRegistryComposite: with RegistrySeeds, five instances are the
+// registry composite vaxrepro measures. Straight through, and cancelled
+// after its first result and resumed from its root, with one worker and
+// with two, the merge is byte-identical to workload.RunComposite's
+// histogram, and each profile's histogram and counters equal that
+// profile's own Run, the counters a resumed farm loads from result.json
+// included.
+func TestFarmRegistryComposite(t *testing.T) {
+	defer checkGoroutineLeak(t)()
+	comp, err := workload.RunComposite(testCycles, cpu.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		for _, interrupt := range []bool{false, true} {
+			t.Run(fmt.Sprintf("workers=%d,interrupt=%v", workers, interrupt), func(t *testing.T) {
+				cfg := testConfig(t, workers)
+				cfg.Instances = len(comp.Runs)
+				cfg.RegistrySeeds = true
+				var res *Result
+				if interrupt {
+					res = interruptAndResume(t, cfg)
+				} else {
+					res = runFarm(t, cfg)
+				}
+				if !bytes.Equal(histBytes(t, res.Merged), histBytes(t, comp.Hist)) {
+					t.Error("merged histogram differs from workload.RunComposite's")
+				}
+				for i, run := range comp.Runs {
+					ps := res.ByProfile[i]
+					if ps.Name != run.Profile.Name || !reflect.DeepEqual(ps.Hist, run.Hist) {
+						t.Errorf("profile %d: %s's histogram differs from %s's own run", i, ps.Name, run.Profile.Name)
+					}
+					if !reflect.DeepEqual(ps.Counters, run.Counters) {
+						t.Errorf("%s: farm counters differ from its own run:\n%+v\n%+v", run.Profile.Name, ps.Counters, run.Counters)
+					}
+				}
+			})
+		}
+	}
+}
+
+// interruptAndResume runs cfg's farm until its first result, requires the
+// typed interruption, and resumes the farm from its root. Every instance
+// whose result was persisted before the resume must load it rather than
+// run again. It returns the resumed run's result.
+func interruptAndResume(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	var intr *Interrupted
+	if _, err := runUntilFirstResult(t, cfg); !errors.As(err, &intr) {
+		t.Fatalf("err = %v, want *Interrupted", err)
+	}
+	persisted := map[int]bool{}
+	for i := 0; i < cfg.Instances; i++ {
+		if _, err := os.Stat(filepath.Join(instanceDir(cfg.Root, i), "result.upc")); err == nil {
+			persisted[i] = true
+		}
+	}
+	if len(persisted) == 0 || len(persisted) == cfg.Instances {
+		t.Fatalf("%d of %d results persisted at the interruption; want some and not all", len(persisted), cfg.Instances)
+	}
+	f, err := Resume(cfg.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Run(context.Background())
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if res.Completed != cfg.Instances {
+		t.Fatalf("resumed farm did not complete: %+v", res.Ledger)
+	}
+	for _, o := range res.Ledger {
+		if persisted[o.ID] != (o.Attempts == 0) {
+			t.Errorf("instance %d (result persisted before the resume: %v) ran %d attempts on resume",
+				o.ID, persisted[o.ID], o.Attempts)
+		}
+	}
+	return res
+}
+
+// TestFarmRootInUse: a farm built by New refuses a root that holds an
+// earlier run with *RootInUse, and writes nothing under it. This is the
+// sequence in which a second vaxfarm run, with another instance count and
+// budget, used to merge the first run's instances. A farm built by Resume
+// then continues the earlier run to the merge of ground truth.
+func TestFarmRootInUse(t *testing.T) {
+	defer checkGoroutineLeak(t)()
+	first := testConfig(t, 1)
+	first.Instances = 2
+	var intr *Interrupted
+	if _, err := runUntilFirstResult(t, first); !errors.As(err, &intr) {
+		t.Fatalf("err = %v, want *Interrupted", err)
+	}
+	before := treeBytes(t, first.Root)
+
+	second := first
+	second.Instances, second.Cycles = 4, testCycles/2
+	f, err := New(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Run(context.Background())
+	var inUse *RootInUse
+	if !errors.As(err, &inUse) || inUse.Root != first.Root || res != nil {
+		t.Fatalf("farm on a used root: result %+v, err %v; want no result and *RootInUse", res, err)
+	}
+	if after := treeBytes(t, first.Root); !reflect.DeepEqual(after, before) {
+		t.Errorf("the refused farm changed the root:\nbefore %v\nafter  %v", keys(before), keys(after))
+	}
+
+	resumed, err := Resume(first.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := resumed.Run(context.Background())
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if final.Completed != first.Instances {
+		t.Fatalf("resumed farm did not complete: %+v", final.Ledger)
+	}
+	assertMergeEquals(t, final, expectHists(t, first))
+}
+
+// treeBytes maps every file and directory under root to its contents
+// ("" for a directory).
+func treeBytes(t *testing.T, root string) map[string]string {
+	t.Helper()
+	tree := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			tree[path] = ""
+			return err
+		}
+		data, err := os.ReadFile(path)
+		tree[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+func keys(m map[string]string) []string {
+	var ks []string
+	for k := range m {
+		ks = append(ks, k)
+	}
+	sort.Strings(ks)
+	return ks
+}
+
+// TestFarmResumeResultWithoutCounters: a result.json written before
+// results carried counters re-runs its instance on resume, as a
+// half-written result does, so the merge never takes zeros for the
+// counters it lacks.
+func TestFarmResumeResultWithoutCounters(t *testing.T) {
+	defer checkGoroutineLeak(t)()
+	cfg := testConfig(t, 1)
+	cfg.Instances = 2
+	want := runFarm(t, cfg)
+
+	path := filepath.Join(instanceDir(cfg.Root, 0), "result.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta resultMeta
+	if err := json.Unmarshal(data, &meta); err != nil || meta.Counters == nil {
+		t.Fatalf("result.json %s: %v", data, err)
+	}
+	old := fmt.Sprintf(`{"Profile":%q,"Seed":%d,"Cycles":%d,"Instructions":%d}`+"\n",
+		meta.Profile, meta.Seed, meta.Cycles, meta.Counters.Instructions)
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := Resume(cfg.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Run(context.Background())
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if a0, a1 := res.Ledger[0].Attempts, res.Ledger[1].Attempts; a0 != 1 || a1 != 0 {
+		t.Errorf("attempts on resume: %d and %d, want 1 (no counters: re-run) and 0 (loaded)", a0, a1)
+	}
+	if !reflect.DeepEqual(res.ByProfile, want.ByProfile) {
+		t.Error("resumed per-profile sums differ from the first run's")
+	}
 }

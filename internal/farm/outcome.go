@@ -52,16 +52,6 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", uint8(s))
 }
 
-// Terminal reports whether the status is an end state (nothing more
-// will happen to the instance in this farm run).
-func (s Status) Terminal() bool {
-	switch s {
-	case StatusCompleted, StatusRescued, StatusShed, StatusPaused:
-		return true
-	}
-	return false
-}
-
 // Outcome is one ledger row: what happened to one instance.
 type Outcome struct {
 	ID       int    // instance index
@@ -87,6 +77,16 @@ func (e *WorkerPanic) Error() string {
 	return fmt.Sprintf("instance %d panicked on worker %d: %v", e.Instance, e.Worker, e.Value)
 }
 
+// RootInUse reports a farm built by New whose Root already holds a
+// manifest: an earlier run's state, which only a farm built by Resume
+// continues. Run returns it before writing anything, so a fresh run
+// never merges or continues the earlier one's instances.
+type RootInUse struct{ Root string }
+
+func (e *RootInUse) Error() string {
+	return fmt.Sprintf("farm: %s holds an earlier run's %s", e.Root, manifestName)
+}
+
 // PoolExhausted reports that every worker died before the work list
 // drained; the remaining instances were shed.
 type PoolExhausted struct {
@@ -99,7 +99,7 @@ func (e *PoolExhausted) Error() string {
 }
 
 // Interrupted reports a farm stopped before the work list drained — by
-// signal, caller cancellation, or the farm deadline — with every live
+// signal, caller cancellation, or the context's deadline — with every live
 // instance checkpointed (where a root directory was configured) so the
 // whole farm can be resumed.
 type Interrupted struct {

@@ -19,7 +19,7 @@ import (
 //	farm.json                 manifest: the Config, for bare resume
 //	inst-00042/ckpt-*.vaxck   checkpoint generations while running
 //	inst-00042/result.upc     merged-ready histogram once completed
-//	inst-00042/result.json    completion metadata (cycles, instructions)
+//	inst-00042/result.json    completion metadata (cycles, counters)
 //
 // Results are written atomically with checkpoint.WriteFile (temp file,
 // fsync, rename; a stale temp file is pruned by the instance's next
@@ -40,15 +40,15 @@ func instanceDir(root string, id int) string {
 
 // resultMeta is the completion record next to the histogram.
 type resultMeta struct {
-	Profile      string
-	Seed         int64
-	Cycles       uint64
-	Instructions uint64
+	Profile  string
+	Seed     int64
+	Cycles   uint64
+	Counters *workload.Counters
 }
 
-// persistResult records a completed instance's histogram and metadata in
-// its durable directory, then drops the now-redundant checkpoint
-// generations. A nil dir (memory-only farm) is a no-op.
+// persistResult records a completed instance's histogram, counters and
+// metadata in its durable directory, then drops the now-redundant
+// checkpoint generations. A nil dir (memory-only farm) is a no-op.
 func persistResult(dir string, res *workload.Result) error {
 	if dir == "" {
 		return nil
@@ -62,10 +62,10 @@ func persistResult(dir string, res *workload.Result) error {
 		return fmt.Errorf("farm: persisting histogram: %w", err)
 	}
 	meta := resultMeta{
-		Profile:      res.Profile.Name,
-		Seed:         res.Profile.Seed,
-		Cycles:       res.Cycles,
-		Instructions: res.Instructions,
+		Profile:  res.Profile.Name,
+		Seed:     res.Profile.Seed,
+		Cycles:   res.Cycles,
+		Counters: &res.Counters,
 	}
 	if err := checkpoint.WriteFile(filepath.Join(dir, "result.json"), func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(&meta)
@@ -96,7 +96,8 @@ func clearGenerations(dir string) {
 // loadResult loads a persisted instance result. All three returns nil
 // means "not completed" (fresh or mid-run); a corrupt or half-written
 // result also classifies as not completed, so the instance simply
-// re-runs — determinism makes the re-run equivalent.
+// re-runs — determinism makes the re-run equivalent. So does a
+// result.json without counters, written before results carried them.
 func loadResult(dir string) (*core.Histogram, *resultMeta, error) {
 	if dir == "" {
 		return nil, nil, nil
@@ -118,25 +119,26 @@ func loadResult(dir string) (*core.Histogram, *resultMeta, error) {
 		return nil, nil, nil // half-persisted: re-run the instance
 	}
 	var meta resultMeta
-	if err := json.Unmarshal(mf, &meta); err != nil {
+	if err := json.Unmarshal(mf, &meta); err != nil || meta.Counters == nil {
 		return nil, nil, nil
 	}
 	return hist, &meta, nil
 }
 
-// writeManifest records the farm's Config at the root (atomically), so a
-// bare `vaxfarm -resume -checkpoint root` can rebuild the identical farm.
-// An existing manifest is kept: the original farm's shape wins over
-// whatever flags the resuming invocation happened to pass.
+// writeManifest records a new farm's Config at the root (atomically), so
+// a bare `vaxfarm -resume -checkpoint root` can rebuild the identical
+// farm. A root that already holds a manifest holds an earlier run, which
+// only Resume continues: it is refused with *RootInUse before anything is
+// written.
 func writeManifest(root string, cfg Config) error {
-	if err := os.MkdirAll(root, 0o777); err != nil {
-		return err
-	}
 	path := filepath.Join(root, manifestName)
 	if _, err := os.Stat(path); err == nil {
-		return nil
+		return &RootInUse{Root: root}
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("farm: manifest: %w", err)
+	}
+	if err := os.MkdirAll(root, 0o777); err != nil {
+		return err
 	}
 	if err := checkpoint.WriteFile(path, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
@@ -164,5 +166,9 @@ func Resume(root string) (*Farm, error) {
 	}
 	cfg.Root = root
 	cfg.Kills = nil
-	return New(cfg)
+	f, err := New(cfg)
+	if f != nil {
+		f.resumed = true
+	}
+	return f, err
 }

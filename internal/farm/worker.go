@@ -16,7 +16,8 @@ type eventKind uint8
 
 const (
 	// evCompleted: the instance finished its full cycle budget; its
-	// histogram is in the worker's local store and its result persisted.
+	// histogram is in the worker's local store, its counters ride on the
+	// event, and its result is persisted.
 	evCompleted eventKind = iota
 	// evFailed: the attempt ended in an error or a recovered panic;
 	// err carries the typed cause. The instance is shed.
@@ -36,6 +37,9 @@ type event struct {
 	inst   *instance
 	cycles uint64 // machine cycle at the outcome (budget on completion)
 	err    error
+	// counters are a completed run's hardware counters, which the
+	// coordinator sums per profile.
+	counters workload.Counters
 }
 
 // worker runs dispatched instances to completion, accumulating completed
@@ -155,7 +159,7 @@ func (w *worker) attempt(inst *instance) (ev event, dead bool) {
 				err: fmt.Errorf("instance %d completed but its result did not persist: %w", inst.id, perr)}, false
 		}
 		w.local[inst.profIdx].Add(res.Hist)
-		return event{kind: evCompleted, worker: w.id, inst: inst, cycles: res.Cycles}, false
+		return event{kind: evCompleted, worker: w.id, inst: inst, cycles: res.Cycles, counters: res.Counters}, false
 	case errors.As(err, &intr):
 		return event{kind: evPaused, worker: w.id, inst: inst, cycles: intr.Cycle, err: err}, false
 	default:

@@ -20,15 +20,55 @@ var ErrUnexpectedHalt = errors.New("workload halted unexpectedly")
 // Result is one measurement session: the raw histogram plus the hardware
 // counters the paper's companion studies supply (§4.1, §4.2).
 type Result struct {
-	Profile      Profile
-	Hist         *core.Histogram
+	Profile Profile
+	Hist    *core.Histogram
+	Cycles  uint64
+	Counters
+	Faults fault.Stats // injection activity (zero without a plane)
+}
+
+// Counters are the machine's own record of a run, read beside the
+// histogram: the cache, IB and TB statistics of §4.1 and §4.2, the event
+// counts of Table 7 and the instructions retired.
+type Counters struct {
 	Instructions uint64 // machine-level (includes the null process)
-	Cycles       uint64
 	Cache        cache.Stats
 	IB           cpu.IBStats
 	TB           tb.Stats
 	HW           cpu.HWCounters
-	Faults       fault.Stats // injection activity (zero without a plane)
+}
+
+// Add sums o into c, every field.
+func (c *Counters) Add(o Counters) {
+	c.Instructions += o.Instructions
+	for i := range c.Cache.ReadHits {
+		c.Cache.ReadHits[i] += o.Cache.ReadHits[i]
+		c.Cache.ReadMisses[i] += o.Cache.ReadMisses[i]
+		c.TB.Hits[i] += o.TB.Hits[i]
+		c.TB.Misses[i] += o.TB.Misses[i]
+	}
+	c.Cache.WriteHits += o.Cache.WriteHits
+	c.Cache.WriteMisses += o.Cache.WriteMisses
+	c.Cache.Flushes += o.Cache.Flushes
+	c.Cache.ParityErrors += o.Cache.ParityErrors
+	c.IB.CacheRefs += o.IB.CacheRefs
+	c.IB.BytesDelivered += o.IB.BytesDelivered
+	c.IB.BytesConsumed += o.IB.BytesConsumed
+	c.IB.Redirects += o.IB.Redirects
+	c.IB.TBMisses += o.IB.TBMisses
+	c.TB.ProcessFlushes += o.TB.ProcessFlushes
+	c.TB.FullFlushes += o.TB.FullFlushes
+	c.TB.ParityErrors += o.TB.ParityErrors
+	c.HW.Unaligned += o.HW.Unaligned
+	c.HW.SIRRRequests += o.HW.SIRRRequests
+	c.HW.Interrupts += o.HW.Interrupts
+	c.HW.Exceptions += o.HW.Exceptions
+	c.HW.CtxSwitches += o.HW.CtxSwitches
+	c.HW.MachineChecks += o.HW.MachineChecks
+	c.HW.MachineChecksLost += o.HW.MachineChecksLost
+	for i := range c.HW.MachineChecksByCause {
+		c.HW.MachineChecksByCause[i] += o.HW.MachineChecksByCause[i]
+	}
 }
 
 // session is one prepared measurement run: a booted system with monitor
@@ -77,15 +117,17 @@ func build(p Profile, cycles uint64, mcfg cpu.Config, plane *fault.Plane) (*sess
 func (s *session) result() *Result {
 	m := s.sys.Machine()
 	return &Result{
-		Profile:      s.p,
-		Hist:         s.mon.Snapshot(),
-		Instructions: m.Instructions(),
-		Cycles:       m.Cycle(),
-		Cache:        m.Cache.Stats(),
-		IB:           m.IBStats(),
-		TB:           m.TLB.Stats(),
-		HW:           m.HW(),
-		Faults:       s.plane.Stats(),
+		Profile: s.p,
+		Hist:    s.mon.Snapshot(),
+		Cycles:  m.Cycle(),
+		Counters: Counters{
+			Instructions: m.Instructions(),
+			Cache:        m.Cache.Stats(),
+			IB:           m.IBStats(),
+			TB:           m.TLB.Stats(),
+			HW:           m.HW(),
+		},
+		Faults: s.plane.Stats(),
 	}
 }
 
@@ -138,39 +180,9 @@ func RunComposite(cyclesEach uint64, mcfg cpu.Config) (*Composite, error) {
 
 // HWTotals sums the hardware counters across the composite's runs.
 func (c *Composite) HWTotals() (cache.Stats, cpu.IBStats, tb.Stats, cpu.HWCounters, uint64) {
-	var cs cache.Stats
-	var ib cpu.IBStats
-	var ts tb.Stats
-	var hw cpu.HWCounters
-	var instr uint64
+	var sum Counters
 	for _, r := range c.Runs {
-		for i := 0; i < 2; i++ {
-			cs.ReadHits[i] += r.Cache.ReadHits[i]
-			cs.ReadMisses[i] += r.Cache.ReadMisses[i]
-			ts.Hits[i] += r.TB.Hits[i]
-			ts.Misses[i] += r.TB.Misses[i]
-		}
-		cs.WriteHits += r.Cache.WriteHits
-		cs.WriteMisses += r.Cache.WriteMisses
-		cs.ParityErrors += r.Cache.ParityErrors
-		ts.ProcessFlushes += r.TB.ProcessFlushes
-		ts.ParityErrors += r.TB.ParityErrors
-		ib.CacheRefs += r.IB.CacheRefs
-		ib.BytesDelivered += r.IB.BytesDelivered
-		ib.BytesConsumed += r.IB.BytesConsumed
-		ib.Redirects += r.IB.Redirects
-		ib.TBMisses += r.IB.TBMisses
-		hw.Unaligned += r.HW.Unaligned
-		hw.SIRRRequests += r.HW.SIRRRequests
-		hw.Interrupts += r.HW.Interrupts
-		hw.Exceptions += r.HW.Exceptions
-		hw.CtxSwitches += r.HW.CtxSwitches
-		hw.MachineChecks += r.HW.MachineChecks
-		hw.MachineChecksLost += r.HW.MachineChecksLost
-		for i := range hw.MachineChecksByCause {
-			hw.MachineChecksByCause[i] += r.HW.MachineChecksByCause[i]
-		}
-		instr += r.Instructions
+		sum.Add(r.Counters)
 	}
-	return cs, ib, ts, hw, instr
+	return sum.Cache, sum.IB, sum.TB, sum.HW, sum.Instructions
 }

@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
-	"time"
 
 	"vax780/internal/checkpoint"
-	"vax780/internal/core"
 	"vax780/internal/cpu"
 	"vax780/internal/fault"
 )
@@ -21,7 +18,6 @@ import (
 //   - cooperative cancellation (context) checked at instruction
 //     boundaries, so SIGINT/SIGTERM and deadlines stop the machine in a
 //     checkpointable state;
-//   - a wall-clock deadline;
 //   - a periodic auto-checkpoint ticker writing atomic snapshot
 //     generations (internal/checkpoint);
 //   - a progress watchdog converting a wedged machine — no instruction
@@ -49,7 +45,8 @@ const (
 var ErrStopRequested = errors.New("stop-at cycle reached")
 
 // Supervisor configures a supervised run. The zero value supervises with
-// defaults and no checkpointing, no deadline.
+// defaults and no checkpointing. A wall-clock budget is the context's
+// deadline.
 type Supervisor struct {
 	// CheckpointDir enables periodic checkpointing into the directory
 	// (created if needed). Empty disables.
@@ -61,9 +58,6 @@ type Supervisor struct {
 	// Watchdog is the progress watchdog budget in cycles
 	// (DefaultWatchdogCycles when zero).
 	Watchdog uint64
-	// Deadline is the wall-clock run budget (none when zero). An expired
-	// deadline checkpoints and returns *Interrupted.
-	Deadline time.Duration
 	// StopAt, when nonzero and below the cycle budget, stops the run
 	// (with a final checkpoint) once the machine reaches that cycle —
 	// a deterministic interruption point for staged runs and tests.
@@ -80,12 +74,11 @@ type Supervisor struct {
 	OnChunk func(cycle uint64)
 }
 
-// Spec names a supervised run: which workload, for how long, on what
-// machine, with what fault injection (nil = clean).
+// Spec names a supervised run: which workload, for how long, with what
+// fault injection (nil = clean), on the default machine.
 type Spec struct {
 	Profile Profile
 	Cycles  uint64
-	Machine cpu.Config
 	Fault   *fault.Config
 }
 
@@ -128,7 +121,7 @@ func RunSupervised(ctx context.Context, spec Spec, sup Supervisor) (*Result, err
 	if spec.Fault != nil {
 		plane = fault.NewPlane(*spec.Fault)
 	}
-	s, err := build(spec.Profile, spec.Cycles, spec.Machine, plane)
+	s, err := build(spec.Profile, spec.Cycles, cpu.Config{}, plane)
 	if err != nil {
 		return nil, err
 	}
@@ -170,12 +163,9 @@ func restore(snap *checkpoint.Snapshot) (*session, error) {
 	if !ok {
 		return nil, fmt.Errorf("workload: snapshot is of unknown workload %q", snap.Meta.Profile)
 	}
-	if snap.Meta.Seed != 0 {
-		// Fleet instances run the registry profile under a derived seed;
-		// rebuilding with the registry default would resume a different
-		// program. Zero means a pre-Seed-field snapshot: registry default.
-		p.Seed = snap.Meta.Seed
-	}
+	// Farm instances run the registry profile under a derived seed:
+	// rebuilding with the registry's would resume a different program.
+	p.Seed = snap.Meta.Seed
 	var plane *fault.Plane
 	if snap.Meta.Fault != nil {
 		plane = fault.NewPlane(*snap.Meta.Fault)
@@ -224,7 +214,8 @@ func (s *session) snapshot(fcfg *fault.Config) (*checkpoint.Snapshot, error) {
 
 // supervise is the supervised run loop: execute in slices bounded by the
 // next checkpoint tick, checkpoint between slices, stop cleanly on
-// cancellation, deadline, StopAt, completion, or machine failure.
+// cancellation (a context deadline included), StopAt, completion, or
+// machine failure.
 func (s *session) supervise(ctx context.Context, fcfg *fault.Config, sup Supervisor) (*Result, error) {
 	m := s.sys.Machine()
 	wd := sup.Watchdog
@@ -240,11 +231,6 @@ func (s *session) supervise(ctx context.Context, fcfg *fault.Config, sup Supervi
 		if err != nil {
 			return nil, err
 		}
-	}
-	if sup.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, sup.Deadline)
-		defer cancel()
 	}
 	every := sup.CheckpointEvery
 	if every == 0 {
@@ -311,8 +297,8 @@ func (s *session) supervise(ctx context.Context, fcfg *fault.Config, sup Supervi
 
 // ResumeOrRun continues the run checkpointed in sup.CheckpointDir when
 // that directory holds a snapshot generation, and starts spec afresh
-// otherwise. It is the resume rule of the farm's instances and of a
-// resumed composite: a run with no generation yet had not started.
+// otherwise. It is the resume rule of the farm's instances: a run with no
+// generation yet had not started.
 func ResumeOrRun(ctx context.Context, spec Spec, sup Supervisor) (*Result, error) {
 	if sup.CheckpointDir != "" {
 		d, err := checkpoint.Open(sup.CheckpointDir, 0)
@@ -328,32 +314,4 @@ func ResumeOrRun(ctx context.Context, spec Spec, sup Supervisor) (*Result, error
 		}
 	}
 	return RunSupervised(ctx, spec, sup)
-}
-
-// RunCompositeSupervised measures the five-workload composite under the
-// supervisor, checkpointing each workload into its own subdirectory of
-// sup.CheckpointDir. With resume set, each workload goes through
-// ResumeOrRun — completed workloads reconstruct their Result from their
-// final snapshot without re-running — so a crashed or interrupted
-// composite picks up where it stopped; without it every workload starts
-// fresh.
-func RunCompositeSupervised(ctx context.Context, cyclesEach uint64, mcfg cpu.Config, sup Supervisor, resume bool) (*Composite, error) {
-	run := RunSupervised
-	if resume {
-		run = ResumeOrRun
-	}
-	comp := &Composite{Hist: &core.Histogram{}}
-	for _, p := range All() {
-		sub := sup
-		if sup.CheckpointDir != "" {
-			sub.CheckpointDir = filepath.Join(sup.CheckpointDir, p.Name)
-		}
-		r, err := run(ctx, Spec{Profile: p, Cycles: cyclesEach, Machine: mcfg}, sub)
-		if err != nil {
-			return nil, err
-		}
-		comp.Runs = append(comp.Runs, r)
-		comp.Hist.Add(r.Hist)
-	}
-	return comp, nil
 }

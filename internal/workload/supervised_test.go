@@ -127,7 +127,7 @@ func resumeIdentical(t *testing.T, p Profile, cycles uint64, fcfg *fault.Config)
 		StopAt:          cycles/2 + 137,
 	}
 	_, err = RunSupervised(context.Background(),
-		Spec{Profile: p, Cycles: cycles, Machine: cpu.Config{}, Fault: fcfg}, sup)
+		Spec{Profile: p, Cycles: cycles, Fault: fcfg}, sup)
 	var intr *Interrupted
 	if !errors.As(err, &intr) {
 		t.Fatalf("want *Interrupted at the stop mark, got %v", err)
@@ -225,7 +225,7 @@ func TestCrashConsistencyKillAndResume(t *testing.T) {
 
 	dir := filepath.Join(t.TempDir(), "ck")
 	_, err = RunSupervised(context.Background(),
-		Spec{Profile: p, Cycles: cycles, Machine: cpu.Config{}},
+		Spec{Profile: p, Cycles: cycles},
 		Supervisor{CheckpointDir: dir, CheckpointEvery: cycles / 5, StopAt: cycles / 2})
 	var intr *Interrupted
 	if !errors.As(err, &intr) {
@@ -270,14 +270,16 @@ func TestCrashConsistencyKillAndResume(t *testing.T) {
 	requireIdentical(t, p.Name, base, resumed)
 }
 
-// TestSupervisedDeadline: an effectively-zero wall-clock budget stops the
-// run almost immediately with a final checkpoint and a typed
-// interruption whose cause is the deadline.
+// TestSupervisedDeadline: an effectively-zero wall-clock budget, the
+// context's deadline, stops the run almost immediately with a final
+// checkpoint and a typed interruption whose cause is the deadline.
 func TestSupervisedDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
 	dir := filepath.Join(t.TempDir(), "ck")
-	_, err := RunSupervised(context.Background(),
-		Spec{Profile: RTECommercial, Cycles: 50_000_000, Machine: cpu.Config{}},
-		Supervisor{CheckpointDir: dir, Deadline: time.Millisecond})
+	_, err := RunSupervised(ctx,
+		Spec{Profile: RTECommercial, Cycles: 50_000_000},
+		Supervisor{CheckpointDir: dir})
 	var intr *Interrupted
 	if !errors.As(err, &intr) {
 		t.Fatalf("want *Interrupted from the deadline, got %v", err)
@@ -304,7 +306,7 @@ func TestSupervisedCancellation(t *testing.T) {
 	cancel() // cancelled before the first instruction
 	dir := filepath.Join(t.TempDir(), "ck")
 	_, err := RunSupervised(ctx,
-		Spec{Profile: RTEScientific, Cycles: 300_000, Machine: cpu.Config{}},
+		Spec{Profile: RTEScientific, Cycles: 300_000},
 		Supervisor{CheckpointDir: dir})
 	var intr *Interrupted
 	if !errors.As(err, &intr) {
@@ -392,69 +394,5 @@ func TestTypedErrors(t *testing.T) {
 				t.Errorf("got %v, want an error matching %s", err, c.want)
 			}
 		})
-	}
-}
-
-// TestCompositeSupervisedResume interrupts a supervised composite partway
-// through the workload list and resumes it: finished workloads come back
-// from their final snapshots, the interrupted one continues, and the
-// composite histogram equals the uninterrupted composite's bit for bit.
-func TestCompositeSupervisedResume(t *testing.T) {
-	const cyclesEach = 120_000
-	baseComp, err := RunComposite(cyclesEach, cpu.Config{})
-	if err != nil {
-		t.Fatalf("baseline composite: %v", err)
-	}
-
-	dir := filepath.Join(t.TempDir(), "comp")
-	sup := Supervisor{CheckpointDir: dir, CheckpointEvery: cyclesEach / 3}
-	// A context cancelled after a couple of workloads' worth of wall time
-	// would be racy; instead interrupt deterministically by running the
-	// composite with a StopAt that wedges the first workload mid-run.
-	_, err = RunCompositeSupervised(context.Background(), cyclesEach, cpu.Config{},
-		Supervisor{CheckpointDir: dir, CheckpointEvery: cyclesEach / 3, StopAt: cyclesEach / 2}, false)
-	var intr *Interrupted
-	if !errors.As(err, &intr) {
-		t.Fatalf("want *Interrupted from the stop mark, got %v", err)
-	}
-
-	comp, err := RunCompositeSupervised(context.Background(), cyclesEach, cpu.Config{}, sup, true)
-	if err != nil {
-		t.Fatalf("composite resume: %v", err)
-	}
-	if len(comp.Runs) != len(baseComp.Runs) {
-		t.Fatalf("composite has %d runs, want %d", len(comp.Runs), len(baseComp.Runs))
-	}
-	if !bytes.Equal(histBytes(t, baseComp.Hist), histBytes(t, comp.Hist)) {
-		t.Error("resumed composite histogram differs from the uninterrupted composite")
-	}
-	for i := range comp.Runs {
-		requireIdentical(t, comp.Runs[i].Profile.Name, baseComp.Runs[i], comp.Runs[i])
-	}
-}
-
-// TestCompositeResumeRule: a composite whose checkpoint directory holds
-// generations continues from them only when asked to resume. The first
-// workload is stopped at half its budget; a second composite with an
-// earlier stop mark then stops at that mark when it starts afresh, and
-// at the newest generation, past the mark, when it resumes.
-func TestCompositeResumeRule(t *testing.T) {
-	const cyclesEach = 120_000
-	dir := filepath.Join(t.TempDir(), "comp")
-	sup := Supervisor{CheckpointDir: dir, CheckpointEvery: cyclesEach / 3, StopAt: cyclesEach / 2}
-	var intr *Interrupted
-	if _, err := RunCompositeSupervised(context.Background(), cyclesEach, cpu.Config{}, sup, false); !errors.As(err, &intr) {
-		t.Fatalf("want *Interrupted from the stop mark, got %v", err)
-	}
-	sup.StopAt = cyclesEach / 4
-	for _, resume := range []bool{false, true} {
-		_, err := RunCompositeSupervised(context.Background(), cyclesEach, cpu.Config{}, sup, resume)
-		if !errors.As(err, &intr) {
-			t.Fatalf("resume=%v: want *Interrupted, got %v", resume, err)
-		}
-		if fresh := intr.Cycle < cyclesEach/2; fresh == resume {
-			t.Errorf("resume=%v: stopped at cycle %d; a fresh run stops near %d, a resumed one at %d or later",
-				resume, intr.Cycle, sup.StopAt, cyclesEach/2)
-		}
 	}
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"vax780/internal/core"
@@ -130,6 +132,47 @@ func TestRunCompositeSmall(t *testing.T) {
 		if rep.Groups[g] == 0 {
 			t.Errorf("group %v absent from composite", g)
 		}
+	}
+}
+
+// TestCountersAdd: Add sums every field. Each uint64 of a Counters, array
+// elements included, gets a distinct value; adding the Counters to itself
+// must double each one, so a field Add skips, or one added to the type
+// without a line in Add, fails here by name.
+func TestCountersAdd(t *testing.T) {
+	var c Counters
+	n := uint64(0)
+	counterLeaves(t, reflect.ValueOf(&c).Elem(), "Counters", func(string, reflect.Value) uint64 {
+		n++
+		return n
+	})
+	c.Add(c)
+	n = 0
+	counterLeaves(t, reflect.ValueOf(&c).Elem(), "Counters", func(path string, v reflect.Value) uint64 {
+		n++
+		if v.Uint() != 2*n {
+			t.Errorf("%s = %d after Add, want %d", path, v.Uint(), 2*n)
+		}
+		return v.Uint()
+	})
+}
+
+// counterLeaves visits every uint64 under v, naming it by its path, and
+// stores what visit returns there.
+func counterLeaves(t *testing.T, v reflect.Value, path string, visit func(string, reflect.Value) uint64) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			counterLeaves(t, v.Field(i), path+"."+v.Type().Field(i).Name, visit)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			counterLeaves(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), visit)
+		}
+	case reflect.Uint64:
+		v.SetUint(visit(path, v))
+	default:
+		t.Fatalf("%s is a %s; Add sums uint64 counters", path, v.Kind())
 	}
 }
 
