@@ -8,7 +8,7 @@
 # checkpointed run mid-write, resume, demand bit-identical results;
 # DESIGN.md "Checkpoint format & run supervision"), vaxrepro's resume at
 # the command line, and a short fuzz smoke over the disassembler,
-# instruction decoder, and checkpoint loader.
+# instruction decoder, checkpoint loader and histogram loader.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -113,6 +113,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz=FuzzDecode$$ ./internal/vax
 	$(FUZZ) -fuzz=FuzzDecodeSpecifier ./internal/vax
 	$(FUZZ) -fuzz=FuzzCheckpointLoad ./internal/checkpoint
+	$(FUZZ) -fuzz=FuzzLoadHistogram ./internal/core
 
 # Regenerate every table and figure of the paper (see bench_test.go),
 # then append a fleet-throughput entry (merged cycles/sec across the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"io"
 	"os"
@@ -15,11 +16,16 @@ import (
 
 	"vax780/internal/cpu"
 	"vax780/internal/fault"
+	"vax780/internal/mem"
 	"vax780/internal/vmos"
 )
 
+// testFrames is how many memory frames testSnapshot holds.
+const testFrames = 3
+
 // testSnapshot builds a small but non-trivial snapshot: enough populated
-// fields that an encode/decode identity failure would show.
+// fields, memory frames among them, that an encode/decode identity
+// failure would show.
 func testSnapshot(cycle uint64) *Snapshot {
 	fc := fault.Config{Seed: 7}
 	s := &Snapshot{
@@ -36,6 +42,12 @@ func testSnapshot(cycle uint64) *Snapshot {
 	s.CPU.PSL = 0x041f0000
 	s.CPU.Cycle = cycle
 	s.CPU.Instret = cycle / 7
+	s.CPU.Mem.Size = 1 << 20
+	s.CPU.Mem.Frames = []uint32{3, 17, 200}
+	s.CPU.Mem.Data = make([]byte, testFrames*mem.FrameSize)
+	for i := range s.CPU.Mem.Data {
+		s.CPU.Mem.Data[i] = byte(i*7 + int(cycle))
+	}
 	s.OS.NextClock = cycle + 100
 	s.OS.CPUTime = []vmos.CPUCharge{{PCB: 0x200, Cycles: cycle / 2}}
 	s.Monitor.Running = true
@@ -43,21 +55,26 @@ func testSnapshot(cycle uint64) *Snapshot {
 	return s
 }
 
+// TestEncodeDecodeRoundtrip round-trips a snapshot with memory frames
+// and one with none, whose nil image must come back nil.
 func TestEncodeDecodeRoundtrip(t *testing.T) {
-	want := testSnapshot(123_456)
-	var buf bytes.Buffer
-	if err := Encode(&buf, want); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	got, err := Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("roundtrip changed the snapshot")
-	}
-	if got.Complete() {
-		t.Fatalf("snapshot at cycle %d of %d reported complete", got.Meta.Cycle, got.Meta.TotalCycles)
+	noFrames := testSnapshot(99)
+	noFrames.CPU.Mem.Frames, noFrames.CPU.Mem.Data = nil, nil
+	for name, want := range map[string]*Snapshot{"frames": testSnapshot(123_456), "no frames": noFrames} {
+		var buf bytes.Buffer
+		if err := Encode(&buf, want); err != nil {
+			t.Fatalf("%s: Encode: %v", name, err)
+		}
+		got, err := Decode(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: Decode: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: roundtrip changed the snapshot", name)
+		}
+		if got.Complete() {
+			t.Fatalf("%s: snapshot at cycle %d of %d reported complete", name, got.Meta.Cycle, got.Meta.TotalCycles)
+		}
 	}
 }
 
@@ -79,36 +96,81 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		}
 	}
 
+	image := len(data) - trailerLen - testFrames*mem.FrameSize // the memory section's offset
 	for i := 0; i <= 7; i++ {
 		cut := len(data) * i / 8
 		mustCorrupt("truncated to "+strconv.Itoa(cut)+" bytes", data[:cut])
 	}
+	mustCorrupt("truncated inside the memory section", data[:image+mem.FrameSize+100])
 	mustCorrupt("one padding byte", append(append([]byte(nil), data...), 0))
-	for _, off := range []int{0, 7, 8, 12, 19, headerLen + 10, len(data) - trailerLen, len(data) - 1} {
+	for _, off := range []int{0, 7, 8, 11, headerLen + 10, image, image + 700, len(data) - trailerLen, len(data) - 1} {
 		b := append([]byte(nil), data...)
 		b[off] ^= 0x5a
 		mustCorrupt("byte flip at "+strconv.Itoa(off), b)
 	}
+	// Sealed with a checksum that matches, so only the memory section's
+	// length can object.
+	payload := data[headerLen : len(data)-trailerLen]
+	mustCorrupt("sealed one frame short", seal(payload[:len(payload)-mem.FrameSize]))
+	mustCorrupt("sealed with a trailing byte", seal(append(append([]byte(nil), payload...), 0)))
+	var inGob bytes.Buffer
+	if err := gob.NewEncoder(&inGob).Encode(testSnapshot(1000)); err != nil {
+		t.Fatalf("gob: %v", err)
+	}
+	mustCorrupt("sealed with the image inside the gob too", seal(append(inGob.Bytes(), payload[len(payload)-testFrames*mem.FrameSize:]...)))
+	if _, err := Decode(bytes.NewReader(seal(payload))); err != nil {
+		t.Fatalf("the pristine payload, sealed again, does not decode: %v", err)
+	}
 }
 
 // TestDecodeRejectsOtherVersion rebuilds a structurally valid snapshot
-// claiming the previous and a future format version (checksum
+// claiming each earlier and a future format version (checksum
 // recomputed, so only the version check can object) and requires
-// ErrBadVersion — no silent cross-version resume.
+// ErrBadVersion — no silent cross-version resume. Version 3 is also
+// written in its own layout, with the payload length after the version
+// and the memory image inside the gob, as a checkpoint directory of an
+// earlier build holds it.
 func TestDecodeRejectsOtherVersion(t *testing.T) {
-	for _, v := range []uint32{FormatVersion - 1, FormatVersion + 1} {
-		var buf bytes.Buffer
-		if err := Encode(&buf, testSnapshot(1000)); err != nil {
-			t.Fatalf("Encode: %v", err)
+	var buf bytes.Buffer
+	if err := Encode(&buf, testSnapshot(1000)); err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	for v := uint32(1); v <= FormatVersion+1; v++ {
+		if v == FormatVersion {
+			continue
 		}
-		data := buf.Bytes()
+		data := bytes.Clone(buf.Bytes())
 		binary.LittleEndian.PutUint32(data[8:], v)
 		sum := sha256.Sum256(data[:len(data)-trailerLen])
 		copy(data[len(data)-trailerLen:], sum[:])
-		_, err := Decode(bytes.NewReader(data))
-		if !errors.Is(err, ErrBadVersion) {
-			t.Fatalf("version %d: want ErrBadVersion, got %v", v, err)
+		if _, err := Decode(bytes.NewReader(data)); !errors.Is(err, ErrBadVersion) {
+			t.Errorf("version %d: want ErrBadVersion, got %v", v, err)
 		}
+	}
+
+	var gobBuf bytes.Buffer
+	if err := gob.NewEncoder(&gobBuf).Encode(testSnapshot(1000)); err != nil {
+		t.Fatalf("gob: %v", err)
+	}
+	v3 := append([]byte(nil), magic[:]...)
+	v3 = binary.LittleEndian.AppendUint32(v3, 3)
+	v3 = binary.LittleEndian.AppendUint64(v3, uint64(gobBuf.Len()))
+	v3 = append(v3, gobBuf.Bytes()...)
+	sum := sha256.Sum256(v3)
+	v3 = append(v3, sum[:]...)
+	if _, err := Decode(bytes.NewReader(v3)); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("a version 3 snapshot: want ErrBadVersion, got %v", err)
+	}
+}
+
+// TestEncodeRefusesInconsistentImage: a memory image that is not 512
+// bytes per listed frame would encode to a file Decode refuses, so
+// Encode refuses it first.
+func TestEncodeRefusesInconsistentImage(t *testing.T) {
+	s := testSnapshot(1000)
+	s.CPU.Mem.Data = s.CPU.Mem.Data[:len(s.CPU.Mem.Data)-1]
+	if err := Encode(io.Discard, s); err == nil {
+		t.Fatalf("Encode wrote %d memory bytes for %d frames", len(s.CPU.Mem.Data), len(s.CPU.Mem.Frames))
 	}
 }
 

@@ -103,39 +103,42 @@ func WriteFile(path string, write func(io.Writer) error) error {
 // Generations returns the snapshot files present, oldest first. Temp
 // files from interrupted writes are excluded.
 func (d *Dir) Generations() ([]string, error) {
+	gens, _, err := d.scan()
+	return gens, err
+}
+
+// scan lists the directory once: the snapshot generations, oldest first,
+// and the temp files interrupted writes left.
+func (d *Dir) scan() (gens, tmps []string, err error) {
 	ents, err := os.ReadDir(d.path)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
+		return nil, nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	var gens []string
 	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), snapSuffix) {
-			gens = append(gens, filepath.Join(d.path, e.Name()))
+		switch name := e.Name(); {
+		case strings.HasSuffix(name, tmpSuffix):
+			tmps = append(tmps, filepath.Join(d.path, name))
+		case !e.IsDir() && strings.HasSuffix(name, snapSuffix):
+			gens = append(gens, filepath.Join(d.path, name))
 		}
 	}
 	sort.Strings(gens)
-	return gens, nil
+	return gens, tmps, nil
 }
 
 // prune removes generations beyond the newest keep, plus any stale temp
-// files. Prune failures are ignored: retention is a disk-space courtesy,
-// not a correctness property.
+// files, from one listing of the directory. Prune failures are ignored:
+// retention is a disk-space courtesy, not a correctness property.
 func (d *Dir) prune() {
-	gens, err := d.Generations()
+	gens, tmps, err := d.scan()
 	if err != nil {
 		return
 	}
 	for i := 0; i+d.keep < len(gens); i++ {
 		os.Remove(gens[i])
 	}
-	ents, err := os.ReadDir(d.path)
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), tmpSuffix) {
-			os.Remove(filepath.Join(d.path, e.Name()))
-		}
+	for _, tmp := range tmps {
+		os.Remove(tmp)
 	}
 }
 

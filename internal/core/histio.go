@@ -100,20 +100,21 @@ func LoadHistogram(r io.Reader) (*Histogram, error) {
 		// Not the checksummed format: try the legacy bare-gob form.
 		return loadLegacyHistogram(data)
 	}
-	n := binary.LittleEndian.Uint64(data[8:16])
-	if uint64(len(data)) != histHeaderLen+n+histTrailerLen {
-		return nil, fmt.Errorf("core: %w: %d bytes on disk, header promises %d",
-			ErrCorruptHistogram, len(data), histHeaderLen+n+histTrailerLen)
-	}
-	body := data[:histHeaderLen+n]
-	want := data[histHeaderLen+n:]
-	got := sha256.Sum256(body)
-	if !bytes.Equal(got[:], want) {
-		return nil, fmt.Errorf("core: %w: checksum mismatch", ErrCorruptHistogram)
-	}
-	if n != histPayloadLen {
-		return nil, fmt.Errorf("core: %w: payload is %d bytes, the format needs %d",
+	// The length field is compared with the one length the format has
+	// before any arithmetic on it: n is the file's to choose, and
+	// histHeaderLen+n+histTrailerLen wraps for n near 2^64.
+	if n := binary.LittleEndian.Uint64(data[8:16]); n != histPayloadLen {
+		return nil, fmt.Errorf("core: %w: header promises a %d-byte payload, the format has %d",
 			ErrCorruptHistogram, n, histPayloadLen)
+	}
+	if len(data) != histHeaderLen+histPayloadLen+histTrailerLen {
+		return nil, fmt.Errorf("core: %w: %d bytes on disk, the format has %d",
+			ErrCorruptHistogram, len(data), histHeaderLen+histPayloadLen+histTrailerLen)
+	}
+	body := data[:histHeaderLen+histPayloadLen]
+	got := sha256.Sum256(body)
+	if !bytes.Equal(got[:], data[len(body):]) {
+		return nil, fmt.Errorf("core: %w: checksum mismatch", ErrCorruptHistogram)
 	}
 	var h Histogram
 	payload := body[histHeaderLen:]

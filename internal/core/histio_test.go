@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
 	"errors"
@@ -168,4 +169,67 @@ func TestHistogramSaveStreams(t *testing.T) {
 			t.Errorf("run %d wrote %d bytes with digest %x, want %d bytes with digest %s", i, bufs[i].Len(), sum, file, saveDigest)
 		}
 	}
+}
+
+// shortHeaderFile is an L-byte file, 16 <= L < 48, that starts with the
+// magic and a payload length n = L - 48 (mod 2^64): the one n for which
+// histHeaderLen+n+histTrailerLen wraps around to L.
+func shortHeaderFile(l int) []byte {
+	b := append([]byte(nil), histMagic[:]...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(l)-(histHeaderLen+histTrailerLen))
+	return append(b, make([]byte, l-histHeaderLen)...)
+}
+
+// TestLoadHistogramShortFiles: a file too short to hold the header and
+// the trailer, whose length field makes the sum of the three lengths
+// wrap to the file's size, is corrupt. Before the length field was
+// checked first, the 16–31-byte ones sliced out of range and panicked.
+func TestLoadHistogramShortFiles(t *testing.T) {
+	for l := histHeaderLen; l < histHeaderLen+histTrailerLen; l++ {
+		h, err := LoadHistogram(bytes.NewReader(shortHeaderFile(l)))
+		if !errors.Is(err, ErrCorruptHistogram) || h != nil {
+			t.Errorf("%d-byte file: got %v and a histogram %v, want ErrCorruptHistogram and none", l, err, h != nil)
+		}
+	}
+}
+
+// FuzzLoadHistogram feeds arbitrary bytes to LoadHistogram. The contract:
+// it never panics; it returns a histogram or an error, never both; and a
+// histogram loaded from the checksummed format saves back to the very
+// bytes it came from. Seeds: the short files of TestLoadHistogramShortFiles,
+// a valid file, a legacy gob stream and nothing at all.
+func FuzzLoadHistogram(f *testing.F) {
+	for l := histHeaderLen; l < histHeaderLen+histTrailerLen; l++ {
+		f.Add(shortHeaderFile(l))
+	}
+	var valid, legacy bytes.Buffer
+	if err := testHist().Save(&valid); err != nil {
+		f.Fatalf("Save: %v", err)
+	}
+	if err := gob.NewEncoder(&legacy).Encode(testHist()); err != nil {
+		f.Fatalf("gob: %v", err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(legacy.Bytes())
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := LoadHistogram(bytes.NewReader(data))
+		if err != nil {
+			if h != nil {
+				t.Fatalf("LoadHistogram returned both a histogram and error %v", err)
+			}
+			return
+		}
+		if len(data) < histHeaderLen || !bytes.Equal(data[:8], histMagic[:]) {
+			return // the legacy gob form, which Save does not write
+		}
+		var out bytes.Buffer
+		if err := h.Save(&out); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("a loaded histogram saves to %d bytes that differ from the %d it came from", out.Len(), len(data))
+		}
+	})
 }

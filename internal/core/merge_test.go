@@ -15,8 +15,10 @@ import (
 // The property under test: for histograms h1..hN produced by real
 // monitor counting (including saturate-and-flag degradation), folding
 // them into one sum via Add is invariant under any partition of the runs
-// into W worker-local stores and any permutation within and across them
-// — bit-identical through Save, sticky overflow bitmap included.
+// into W partial sums and any permutation within and across them —
+// bit-identical through Save, sticky overflow bitmap included. The farm
+// adds each completed run to its profile's sum in whatever order the
+// completions arrive: one partial sum, in a random order.
 
 // randomRunHist produces one run's histogram by driving a real Monitor
 // with a random event stream under a small counter capacity, so a
@@ -63,9 +65,9 @@ func TestPropertyMergePartitionAndOrderInvariant(t *testing.T) {
 			single.Add(h)
 		}
 
-		// Farm shape: assign runs to W worker-local stores in a random
-		// interleaving (workers complete in arbitrary order), then merge
-		// the locals in a random order.
+		// Assign runs to W partial sums in a random interleaving
+		// (workers complete in arbitrary order), then merge the partial
+		// sums in a random order.
 		locals := make([]*Histogram, w)
 		for i := range locals {
 			locals[i] = &Histogram{}

@@ -162,14 +162,21 @@ type MonitorState struct {
 	MaxBucket uint64
 }
 
-// ExportState captures the board state (the histogram is copied).
+// ExportState captures the board state (the histogram is copied) into a
+// new state.
 func (mo *Monitor) ExportState() MonitorState {
-	return MonitorState{
-		Hist:      mo.hist,
-		Running:   mo.running,
-		Overflow:  mo.overflow,
-		MaxBucket: mo.maxBucket,
-	}
+	var st MonitorState
+	mo.ExportStateInto(&st)
+	return st
+}
+
+// ExportStateInto copies the board state, histogram included, into st,
+// which a checkpointing caller keeps from one snapshot to the next.
+func (mo *Monitor) ExportStateInto(st *MonitorState) {
+	st.Hist = mo.hist
+	st.Running = mo.running
+	st.Overflow = mo.overflow
+	st.MaxBucket = mo.maxBucket
 }
 
 // ImportState restores a captured board state.

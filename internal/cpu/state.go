@@ -78,18 +78,30 @@ type State struct {
 	TB    tb.State
 }
 
-// ExportState captures the machine's complete run state. It must be
+// ExportState captures the machine's complete run state into a new
+// State; see ExportStateInto.
+func (m *Machine) ExportState() (State, error) {
+	var st State
+	err := m.ExportStateInto(&st)
+	return st, err
+}
+
+// ExportStateInto captures the machine's complete run state into st,
+// overwriting every field and reusing the storage of its interrupt queue
+// and memory image, so a caller that keeps one State for a run's
+// checkpoints copies the image without allocating it again. It must be
 // called at an instruction boundary (between Run/StepInstruction calls)
 // on a machine that is still running: a halted or failed machine has no
-// resumable state and is refused.
-func (m *Machine) ExportState() (State, error) {
+// resumable state and is refused, with st left as it was.
+func (m *Machine) ExportStateInto(st *State) error {
 	if m.runErr != nil {
-		return State{}, fmt.Errorf("cpu: cannot checkpoint a failed machine: %w", m.runErr)
+		return fmt.Errorf("cpu: cannot checkpoint a failed machine: %w", m.runErr)
 	}
 	if m.halted {
-		return State{}, fmt.Errorf("cpu: cannot checkpoint a halted machine (%v)", m.haltReason)
+		return fmt.Errorf("cpu: cannot checkpoint a halted machine (%v)", m.haltReason)
 	}
-	st := State{
+	irqs, memSt := st.IRQs, st.Mem
+	*st = State{
 		R:   m.R,
 		PSL: m.PSL,
 		IPR: m.ipr,
@@ -109,7 +121,7 @@ func (m *Machine) ExportState() (State, error) {
 		Instret:      m.instret,
 		UPC:          m.upc,
 		Gate:         m.gate,
-		IRQs:         append([]IRQ(nil), m.irqs...),
+		IRQs:         append(irqs[:0], m.irqs...),
 		NextIRQ:      m.nextIRQ,
 		LastPCChange: m.lastPCChange,
 		PatchCtr:     m.patchCtr,
@@ -119,13 +131,14 @@ func (m *Machine) ExportState() (State, error) {
 		MCCause:      m.pendMC.cause,
 		MCInfo:       m.pendMC.info,
 		HW:           m.HW(),
-		Mem:          m.Mem.ExportState(),
+		Mem:          memSt,
 		SBI:          m.SBI.ExportState(),
 		WB:           m.WB.ExportState(),
 		Cache:        m.Cache.ExportState(),
 		TB:           m.TLB.ExportState(),
 	}
-	return st, nil
+	m.Mem.ExportStateInto(&st.Mem)
+	return nil
 }
 
 // ImportState restores a captured state into a machine built with the

@@ -1,7 +1,8 @@
 // Package farm is the fleet supervisor: it shards N machine-instances
 // across W worker goroutines, runs each through the supervised
-// checkpoint/resume path of internal/workload, and merges the per-worker
-// local histograms into one composite in a deterministic order.
+// checkpoint/resume path of internal/workload, and sums the completed
+// instances' histograms per profile as their completions come in, then
+// into one composite.
 //
 // The paper characterized one VAX-11/780 over five hours of live traffic
 // (§2.2); this package's job is the scaled-up equivalent — thousands of
@@ -281,11 +282,9 @@ func (f *Farm) Run(ctx context.Context) (*Result, error) {
 	dispatch := make(chan *instance)
 	events := make(chan event)
 	var wg sync.WaitGroup
-	workers := make([]*worker, cfg.Workers)
-	for i := range workers {
-		workers[i] = newWorker(i, f, ctx, dispatch, events, &wg)
+	for i := 0; i < cfg.Workers; i++ {
 		wg.Add(1)
-		go workers[i].loop()
+		go newWorker(i, f, ctx, dispatch, events, &wg).loop()
 	}
 
 	var (
@@ -353,6 +352,7 @@ func (f *Farm) Run(ctx context.Context) (*Result, error) {
 					ev.inst.status = StatusCompleted
 				}
 				ev.inst.cycle = ev.cycles
+				sums[ev.inst.profIdx].Hist.Add(ev.hist)
 				sums[ev.inst.profIdx].Counters.Add(ev.counters)
 
 			case evPaused:
@@ -393,7 +393,7 @@ func (f *Farm) Run(ctx context.Context) (*Result, error) {
 	// themselves are ctx-supervised via workload.RunSupervised.
 	wg.Wait()
 
-	res := f.merge(workers, sums)
+	res := f.merge(sums)
 	res.Failures = failures
 	res.Lost = cfg.Workers - live
 	if paused {
@@ -414,18 +414,15 @@ func peek(queue []*instance) *instance {
 	return queue[0]
 }
 
-// merge folds the per-worker local stores into the per-profile sums,
-// which already hold the resumed results and every completion's
-// counters, and those into one composite, in (profile,
-// resumed-then-worker-index) order. Every addition is a uint64 add or a
-// bit-OR (core.Histogram.Add), so the sum is independent of which worker
-// ran what — the property the merge determinism tests pin down.
-func (f *Farm) merge(workers []*worker, sums []ProfileSum) *Result {
+// merge folds the per-profile sums, which hold the resumed results and
+// every completion's histogram and counters, into one composite in
+// profile order, and builds the ledger. Every addition is a uint64 add or
+// a bit-OR (core.Histogram.Add), so the sums are independent of the order
+// in which completions came in and of which worker ran what — the
+// property the merge determinism tests pin down.
+func (f *Farm) merge(sums []ProfileSum) *Result {
 	res := &Result{Merged: &core.Histogram{}, ByProfile: sums}
 	for pi := range sums {
-		for _, w := range workers {
-			sums[pi].Hist.Add(w.local[pi])
-		}
 		res.Merged.Add(sums[pi].Hist)
 	}
 	for _, inst := range f.insts {

@@ -122,8 +122,8 @@ func TestFarmCleanSweep(t *testing.T) {
 // complete many times while the other is mid-attempt, with no file I/O
 // to order them by accident: the shape in which the race detector, with
 // room for a whole histogram sweep in its history (`make farmsoak`),
-// sees a coordinator that reads a worker's local store before the pool
-// drains.
+// sees a worker that writes a histogram it has already handed to the
+// coordinator.
 func TestFarmInMemory(t *testing.T) {
 	defer checkGoroutineLeak(t)()
 	cfg := testConfig(t, 2)

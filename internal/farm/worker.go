@@ -16,8 +16,8 @@ type eventKind uint8
 
 const (
 	// evCompleted: the instance finished its full cycle budget; its
-	// histogram is in the worker's local store, its counters ride on the
-	// event, and its result is persisted.
+	// result is persisted, and its histogram and counters ride on the
+	// event.
 	evCompleted eventKind = iota
 	// evFailed: the attempt ended in an error or a recovered panic;
 	// err carries the typed cause. The instance is shed.
@@ -37,16 +37,17 @@ type event struct {
 	inst   *instance
 	cycles uint64 // machine cycle at the outcome (budget on completion)
 	err    error
-	// counters are a completed run's hardware counters, which the
-	// coordinator sums per profile.
+	// hist and counters are a completed run's histogram and hardware
+	// counters, which the coordinator adds to its profile's sums. The
+	// worker drops the histogram once it is sent.
+	hist     *core.Histogram
 	counters workload.Counters
 }
 
-// worker runs dispatched instances to completion, accumulating completed
-// histograms in a per-profile local store that the coordinator merges —
-// in worker-index order — after the pool drains. Nothing here locks: the
-// local store is touched only by this goroutine until the coordinator's
-// final merge, which happens after the worker has exited.
+// worker runs dispatched instances to completion and hands each completed
+// histogram to the coordinator in its completion event. Nothing here
+// locks: the worker keeps nothing of a run once its event is sent, and
+// the send orders the coordinator's reads after the worker's writes.
 type worker struct {
 	id       int
 	ctx      context.Context
@@ -62,8 +63,6 @@ type worker struct {
 	// re-enters farm code.
 	killAfter int
 	chunks    int
-
-	local []*core.Histogram // per-profile sums of completed instances
 }
 
 func newWorker(id int, f *Farm, ctx context.Context, dispatch <-chan *instance,
@@ -75,10 +74,6 @@ func newWorker(id int, f *Farm, ctx context.Context, dispatch <-chan *instance,
 		events:   events,
 		wg:       wg,
 		every:    f.cfg.CheckpointEvery,
-		local:    make([]*core.Histogram, len(f.profiles)),
-	}
-	for i := range w.local {
-		w.local[i] = &core.Histogram{}
 	}
 	for _, k := range f.cfg.Kills {
 		if k.Worker == id {
@@ -158,8 +153,8 @@ func (w *worker) attempt(inst *instance) (ev event, dead bool) {
 			return event{kind: evFailed, worker: w.id, inst: inst, cycles: res.Cycles,
 				err: fmt.Errorf("instance %d completed but its result did not persist: %w", inst.id, perr)}, false
 		}
-		w.local[inst.profIdx].Add(res.Hist)
-		return event{kind: evCompleted, worker: w.id, inst: inst, cycles: res.Cycles, counters: res.Counters}, false
+		return event{kind: evCompleted, worker: w.id, inst: inst, cycles: res.Cycles,
+			hist: res.Hist, counters: res.Counters}, false
 	case errors.As(err, &intr):
 		return event{kind: evPaused, worker: w.id, inst: inst, cycles: intr.Cycle, err: err}, false
 	default:

@@ -17,13 +17,17 @@ import (
 // round-trip test in internal/checkpoint requires every live field
 // outside its exemption table to travel in these state structs.
 
+// FrameSize is the size in bytes of one frame, the unit MemoryState
+// lists.
+const FrameSize = frameSize
+
 // MemoryState is the serialized state of the physical memory array. Only
 // the frames (512-byte pages) that hold a nonzero byte travel: Frames
 // lists their numbers in strictly ascending order, and Data holds their
-// contents, 512 bytes per listed frame in the same order. Every frame not
-// listed is zero. A last frame the array only partly covers is padded
-// with zeros. Size is the length of the array the state was captured
-// from.
+// contents, FrameSize bytes per listed frame in the same order. Every
+// frame not listed is zero. A last frame the array only partly covers is
+// padded with zeros. Size is the length of the array the state was
+// captured from.
 type MemoryState struct {
 	Size     uint32
 	Frames   []uint32
@@ -33,20 +37,31 @@ type MemoryState struct {
 }
 
 // ExportState captures the nonzero frames of the memory array and its
-// error latch. Only frames with storage are looked at, so its cost grows
-// with the frames the machine wrote, not with the array's size.
+// error latch into a new state.
 func (m *Memory) ExportState() MemoryState {
-	st := MemoryState{Size: m.size, Fault: m.fault, HasFault: m.hasFault}
+	var st MemoryState
+	m.ExportStateInto(&st)
+	return st
+}
+
+// ExportStateInto captures the nonzero frames of the memory array and its
+// error latch into st, reusing the storage of its Frames and Data, so a
+// caller that snapshots the same memory again and again allocates only
+// when the image grows. Only frames with storage are looked at, so its
+// cost grows with the frames the machine wrote, not with the array's
+// size.
+func (m *Memory) ExportStateInto(st *MemoryState) {
+	st.Size, st.Fault, st.HasFault = m.size, m.fault, m.hasFault
+	st.Frames = st.Frames[:0]
 	for f, p := range m.frames {
 		if p != nil && !bytes.Equal(p[:], zeroFrame[:]) {
 			st.Frames = append(st.Frames, uint32(f))
 		}
 	}
-	st.Data = slices.Grow(st.Data, len(st.Frames)*frameSize)
+	st.Data = slices.Grow(st.Data[:0], len(st.Frames)*frameSize)
 	for _, f := range st.Frames {
 		st.Data = append(st.Data, m.frames[f][:]...)
 	}
-	return st
 }
 
 // ImportState restores a state captured from a memory of the same size.

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"vax780/internal/checkpoint"
 	"vax780/internal/cpu"
 )
 
@@ -58,6 +59,60 @@ func TestStepAllocations(t *testing.T) {
 				t.Errorf("%s: %.2f allocations and %.0f bytes per 1,000 instructions, budget %d and %d",
 					p.Name, float64(allocs)/kilo, float64(bytes)/kilo, allocsPerKilo, bytesPerKilo)
 			}
+		})
+	}
+}
+
+// A checkpoint's heap budget, once its run's snapshot holds storage:
+// refilling the snapshot and Dir.Save writing it. A save allocated
+// 2.2–2.5 MB when each took a new snapshot with its own copy of the
+// memory image and encoded it into a payload buffer before writing; what
+// is left is gob's buffer for the snapshot without the image, the
+// component states the machine and OS export afresh (cache lines, the
+// terminal schedule) and the file.
+const (
+	saveBudget = 384 << 10
+	saveCycles = 2_000_000
+	saves      = 10
+)
+
+// TestCheckpointSaveAllocations holds a checkpoint to its heap budget on
+// all five profiles: run saveCycles, save once into a kept snapshot, as
+// a supervised run does, then count every heap byte each of ten further
+// saves — refill plus Dir.Save — allocates (runtime.MemStats deltas).
+func TestCheckpointSaveAllocations(t *testing.T) {
+	for _, p := range All() {
+		t.Run(p.Name, func(t *testing.T) {
+			s, err := build(p, saveCycles, cpu.Config{}, nil)
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			if res := s.sys.Run(saveCycles); res.Err != nil || res.Halted {
+				t.Fatalf("run: halted=%v err=%v", res.Halted, res.Err)
+			}
+			d, err := checkpoint.Open(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := new(checkpoint.Snapshot)
+			save := func(int) {
+				if err := s.snapshot(snap, nil); err != nil {
+					t.Fatalf("snapshot: %v", err)
+				}
+				if _, err := d.Save(snap); err != nil {
+					t.Fatalf("Save: %v", err)
+				}
+			}
+			save(0)
+			lo, hi := ^uint64(0), uint64(0)
+			for i := 0; i < saves; i++ {
+				_, bytes := countAllocs(1, save)
+				lo, hi = min(lo, bytes), max(hi, bytes)
+				if bytes >= saveBudget {
+					t.Errorf("%s: save %d allocated %d bytes, budget %d", p.Name, i+1, bytes, saveBudget)
+				}
+			}
+			t.Logf("%s: %d memory frames; each of %d saves allocated %d–%d bytes", p.Name, len(snap.CPU.Mem.Frames), saves, lo, hi)
 		})
 	}
 }

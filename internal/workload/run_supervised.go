@@ -185,31 +185,30 @@ func restore(snap *checkpoint.Snapshot) (*session, error) {
 	return s, nil
 }
 
-// snapshot captures the session's complete state.
-func (s *session) snapshot(fcfg *fault.Config) (*checkpoint.Snapshot, error) {
+// snapshot refills snap with the session's complete state. A supervised
+// run keeps one snapshot for all its checkpoints, so the memory image and
+// the histogram are copied into storage the previous checkpoint left.
+func (s *session) snapshot(snap *checkpoint.Snapshot, fcfg *fault.Config) error {
 	m := s.sys.Machine()
-	cpuSt, err := m.ExportState()
-	if err != nil {
-		return nil, fmt.Errorf("workload %s: %w", s.p.Name, err)
+	if err := m.ExportStateInto(&snap.CPU); err != nil {
+		return fmt.Errorf("workload %s: %w", s.p.Name, err)
 	}
 	osSt, err := s.sys.ExportState()
 	if err != nil {
-		return nil, fmt.Errorf("workload %s: %w", s.p.Name, err)
+		return fmt.Errorf("workload %s: %w", s.p.Name, err)
 	}
-	return &checkpoint.Snapshot{
-		Meta: checkpoint.Meta{
-			Profile:     s.p.Name,
-			Seed:        s.p.Seed,
-			TotalCycles: s.cycles,
-			Cycle:       m.Cycle(),
-			Machine:     m.Config(),
-			Fault:       fcfg,
-		},
-		CPU:        cpuSt,
-		OS:         osSt,
-		Monitor:    s.mon.ExportState(),
-		FaultState: s.plane.ExportState(),
-	}, nil
+	snap.Meta = checkpoint.Meta{
+		Profile:     s.p.Name,
+		Seed:        s.p.Seed,
+		TotalCycles: s.cycles,
+		Cycle:       m.Cycle(),
+		Machine:     m.Config(),
+		Fault:       fcfg,
+	}
+	snap.OS = osSt
+	s.mon.ExportStateInto(&snap.Monitor)
+	snap.FaultState = s.plane.ExportState()
+	return nil
 }
 
 // supervise is the supervised run loop: execute in slices bounded by the
@@ -224,13 +223,17 @@ func (s *session) supervise(ctx context.Context, fcfg *fault.Config, sup Supervi
 	}
 	m.SetWatchdog(wd)
 
-	var dir *checkpoint.Dir
+	var (
+		dir  *checkpoint.Dir
+		snap *checkpoint.Snapshot // refilled at every checkpoint
+	)
 	if sup.CheckpointDir != "" {
 		var err error
 		dir, err = checkpoint.Open(sup.CheckpointDir, 0)
 		if err != nil {
 			return nil, err
 		}
+		snap = new(checkpoint.Snapshot)
 	}
 	every := sup.CheckpointEvery
 	if every == 0 {
@@ -246,8 +249,7 @@ func (s *session) supervise(ctx context.Context, fcfg *fault.Config, sup Supervi
 		if dir == nil {
 			return nil
 		}
-		snap, err := s.snapshot(fcfg)
-		if err != nil {
+		if err := s.snapshot(snap, fcfg); err != nil {
 			return err
 		}
 		path, err := dir.Save(snap)
