@@ -6,9 +6,10 @@
 # injection into a full OS workload, DESIGN.md "Fault model & machine
 # checks"), the farm soak, the crash-consistency proof (kill a
 # checkpointed run mid-write, resume, demand bit-identical results;
-# DESIGN.md "Checkpoint format & run supervision"), vaxrepro's resume at
-# the command line, and a short fuzz smoke over the disassembler,
-# instruction decoder, checkpoint loader and histogram loader.
+# DESIGN.md "Checkpoint format & run supervision"), vaxrepro's and
+# vaxsim's resume at the command line, and a short fuzz smoke over the
+# disassembler, instruction decoder, checkpoint loader and histogram
+# loader.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -21,12 +22,12 @@ FUZZTIME ?= 10s
 # runs; at history_size=7 it was reported in 5 of 5.
 RACEGO = GORACE=history_size=7 $(GO)
 
-.PHONY: check build gofmt vet latency latency-truth test race soak farmsoak crash-consistency repro-resume fuzz-smoke bench
+.PHONY: check build gofmt vet latency latency-truth test race soak farmsoak crash-consistency repro-resume sim-resume fuzz-smoke bench
 
 # CI's full check (.github/workflows/check.yml) runs each of these
 # targets once, as a step of its own; a target added here needs a step
 # there.
-check: build gofmt vet latency-truth race soak farmsoak crash-consistency repro-resume fuzz-smoke
+check: build gofmt vet latency-truth race soak farmsoak crash-consistency repro-resume sim-resume fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -98,6 +99,23 @@ repro-resume:
 	./vaxrepro -resume -checkpoint ck > got && cmp want got && \
 	if ./vaxrepro -cycles 2000000 -checkpoint ck > /dev/null; then \
 		echo "repro-resume: a run without -resume reused the root of an earlier one"; exit 1; fi
+
+# vaxsim's resume at the command line, in a temporary directory: a run
+# interrupted by -deadline (or finished inside it; either exit status is
+# accepted) and resumed writes the .upc of an uninterrupted one byte for
+# byte, a run without -resume refuses the root the first one used, and
+# -resume refuses vaxrepro's root, a farm of five instances.
+sim-resume:
+	@d="$$(mktemp -d)" && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -o "$$d/vaxsim" ./cmd/vaxsim && $(GO) build -o "$$d/vaxrepro" ./cmd/vaxrepro && cd "$$d" && \
+	./vaxsim -workload timesharing-research -cycles 4000000 -o want.upc && \
+	{ ./vaxsim -workload timesharing-research -cycles 4000000 -checkpoint ck -deadline 50ms || true; } && \
+	./vaxsim -resume -checkpoint ck -o got.upc && cmp want.upc got.upc && \
+	if ./vaxsim -workload timesharing-research -cycles 4000000 -checkpoint ck; then \
+		echo "sim-resume: a run without -resume reused the root of an earlier one"; exit 1; fi && \
+	./vaxrepro -cycles 200000 -checkpoint repro -summary > /dev/null && \
+	if ./vaxsim -resume -checkpoint repro; then \
+		echo "sim-resume: vaxsim -resume continued vaxrepro's root"; exit 1; fi
 
 # Short native-fuzz smoke per target; raise FUZZTIME for a real campaign.
 # -fuzzminimizetime 1s caps the time go test spends shrinking each new

@@ -21,12 +21,14 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"strings"
 
+	"vax780/internal/checkpoint"
 	"vax780/internal/cli"
 	"vax780/internal/core"
 	"vax780/internal/cpu"
@@ -65,7 +67,7 @@ func main() {
 	}
 	cli.Check("vaxrepro", err)
 	comp, err := measure(runCtx, f)
-	if err != nil && *ckptDir != "" {
+	if err != nil && *ckptDir != "" && !errors.Is(err, checkpoint.ErrBadVersion) {
 		fatalf("%v (resume with: vaxrepro -resume -checkpoint %s)", err, *ckptDir)
 	}
 	cli.Check("vaxrepro", err)

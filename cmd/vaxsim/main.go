@@ -3,13 +3,17 @@
 // to a file for later reduction with upcreport — the paper's two-step
 // measure-then-interpret flow (§2.2).
 //
-// Workload runs go through the run supervisor: -checkpoint enables
-// periodic crash-safe snapshots, -deadline bounds the wall-clock time,
-// SIGINT/SIGTERM trigger a final checkpoint before a clean non-zero exit,
-// and -resume continues from the newest snapshot with results
-// bit-identical to an uninterrupted run. Without -checkpoint or -deadline
-// the supervisor writes no checkpoints and sets no deadline. -stats
-// applies to -program runs; a workload's statistics come from upcreport.
+// A workload runs as a one-instance farm (internal/farm), with the durable
+// layout, resume rule and used-root check of vaxfarm and vaxrepro:
+// -checkpoint names the farm's root, under which the run snapshots
+// periodically and persists its result; -deadline bounds the wall-clock
+// time; SIGINT/SIGTERM trigger a final checkpoint before a clean non-zero
+// exit; and -resume continues the run under the root with results
+// bit-identical to an uninterrupted run. A run without -resume refuses a
+// root that holds an earlier run, and -resume refuses a root whose farm
+// has more than one instance, such as vaxfarm's or vaxrepro's. Without
+// -checkpoint nothing is written but the histogram. -stats applies to
+// -program runs; a workload's statistics come from upcreport.
 //
 // Usage:
 //
@@ -32,6 +36,7 @@ import (
 	"vax780/internal/cli"
 	"vax780/internal/core"
 	"vax780/internal/cpu"
+	"vax780/internal/farm"
 	"vax780/internal/fault"
 	"vax780/internal/vax"
 	"vax780/internal/workload"
@@ -45,9 +50,9 @@ func main() {
 	list := flag.Bool("list", false, "list workload profiles")
 	stats := flag.Bool("stats", false, "print the hardware statistics report")
 	inject := flag.String("inject", "", `fault-injection spec, e.g. "seed=7,mem=0.0001,sbi=1/50000" (see internal/fault)`)
-	ckptDir := flag.String("checkpoint", "", "checkpoint directory: enables periodic crash-safe snapshots (workload runs only)")
+	ckptDir := flag.String("checkpoint", "", "root directory: enables periodic crash-safe snapshots and -resume (workload runs only)")
 	ckptEvery := flag.Uint64("checkpoint-every", workload.DefaultCheckpointEvery, "cycles between automatic checkpoints")
-	resume := flag.Bool("resume", false, "resume from the newest snapshot in the -checkpoint directory instead of starting fresh")
+	resume := flag.Bool("resume", false, "resume the run under the -checkpoint root instead of starting fresh")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget; an expired deadline checkpoints and exits non-zero")
 	flag.Parse()
 
@@ -77,22 +82,24 @@ func main() {
 		if *ckptDir == "" {
 			fatalf("-resume requires -checkpoint <dir>")
 		}
-		res := runSupervised(nil, *ckptDir, *ckptEvery, *deadline, true, nil, 0)
-		hist = res.Hist
-		fmt.Fprintf(os.Stderr, "vaxsim: %s (resumed): %d instructions, %d cycles (%.2f CPI)\n",
-			res.Profile.Name, res.Instructions, res.Cycles, float64(res.Cycles)/float64(res.Instructions))
+		f, err := resumeRun(*ckptDir)
+		cli.Check("vaxsim", err)
+		hist = runFarm(f, *ckptDir, *deadline, " (resumed)")
 	case *wl != "":
-		p, ok := workload.ByName(*wl)
-		if !ok {
+		if _, ok := workload.ByName(*wl); !ok {
 			fatalf("unknown workload %q (try -list)", *wl)
 		}
-		res := runSupervised(&p, *ckptDir, *ckptEvery, *deadline, false, fcfg, *cycles)
-		hist = res.Hist
-		fmt.Fprintf(os.Stderr, "vaxsim: %s: %d instructions, %d cycles (%.2f CPI)\n",
-			p.Name, res.Instructions, res.Cycles, float64(res.Cycles)/float64(res.Instructions))
-		if fcfg != nil {
-			printInjection(res.Faults, res.HW)
-		}
+		f, err := farm.New(farm.Config{
+			Instances:       1,
+			Workers:         1,
+			Profiles:        []string{*wl},
+			Cycles:          *cycles,
+			Fault:           fcfg,
+			Root:            *ckptDir,
+			CheckpointEvery: *ckptEvery,
+		})
+		cli.Check("vaxsim", err)
+		hist = runFarm(f, *ckptDir, *deadline, "")
 	case *prog != "":
 		src, err := os.ReadFile(*prog)
 		if err != nil {
@@ -143,28 +150,43 @@ func main() {
 		*out, hist.TotalCycles())
 }
 
-// runSupervised runs (or resumes) one workload under the run supervisor
-// with SIGINT/SIGTERM wired to a final checkpoint and a clean non-zero
-// exit. It only returns on success.
-func runSupervised(p *workload.Profile, dir string, every uint64, deadline time.Duration, resume bool, fcfg *fault.Config, cycles uint64) *workload.Result {
+// resumeRun rebuilds the one-instance farm under root. A root that holds
+// a farm of more instances, such as vaxfarm's or vaxrepro's, is refused:
+// its merge is not one run's histogram.
+func resumeRun(root string) (*farm.Farm, error) {
+	f, err := farm.Resume(root)
+	if err == nil && f.Config().Instances != 1 {
+		return nil, fmt.Errorf("%s holds a farm of %d instances, not a vaxsim run; vaxfarm -resume resumes it",
+			root, f.Config().Instances)
+	}
+	return f, err
+}
+
+// runFarm runs a one-instance farm with SIGINT/SIGTERM and the deadline
+// wired to a final checkpoint and a clean non-zero exit, prints the run's
+// summary and returns its histogram. It only returns on success.
+func runFarm(f *farm.Farm, root string, deadline time.Duration, resumed string) *core.Histogram {
 	ctx, stop := cli.RunContext(deadline)
 	defer stop()
-	sup := workload.Supervisor{CheckpointDir: dir, CheckpointEvery: every}
-	var res *workload.Result
-	var err error
-	if resume {
-		res, err = workload.ResumeSupervised(ctx, dir, sup)
-	} else {
-		res, err = workload.RunSupervised(ctx, workload.Spec{Profile: *p, Cycles: cycles, Fault: fcfg}, sup)
+	res, err := f.Run(ctx)
+	var intr *farm.Interrupted
+	var inUse *farm.RootInUse
+	resumable := errors.As(err, &inUse) || errors.As(err, &intr) && root != ""
+	if intr != nil || err == nil && res.Shed > 0 {
+		// The run's own cause names the cycle where it stopped.
+		err = errors.New(res.Ledger[0].Cause)
 	}
-	if err != nil {
-		var intr *workload.Interrupted
-		if errors.As(err, &intr) && dir != "" {
-			fatalf("%v (resume with: vaxsim -resume -checkpoint %s)", intr, dir)
-		}
-		fatalf("%v", err)
+	if resumable {
+		fatalf("%v (resume with: vaxsim -resume -checkpoint %s)", err, root)
 	}
-	return res
+	cli.Check("vaxsim", err)
+	run := res.ByProfile[0]
+	fmt.Fprintf(os.Stderr, "vaxsim: %s%s: %d instructions, %d cycles (%.2f CPI)\n",
+		run.Name, resumed, run.Counters.Instructions, res.Cycles, float64(res.Cycles)/float64(run.Counters.Instructions))
+	if f.Config().Fault != nil {
+		printInjection(run.Counters.Faults, run.Counters.HW)
+	}
+	return run.Hist
 }
 
 func printInjection(fs fault.Stats, hw cpu.HWCounters) {

@@ -16,9 +16,9 @@ import (
 
 	"vax780/internal/cache"
 	"vax780/internal/cli"
+	"vax780/internal/cpu"
 	"vax780/internal/report"
 	"vax780/internal/trace"
-	"vax780/internal/vmos"
 	"vax780/internal/workload"
 )
 
@@ -46,27 +46,13 @@ func main() {
 		if !ok {
 			fatalf("unknown workload %q", *wl)
 		}
-		sys := vmos.NewSystem(vmos.Config{IncludeNull: true})
-		for i := 0; i < p.Procs; i++ {
-			im, err := workload.Generate(workload.GenConfig{
-				Mix: p.Mix, Blocks: p.Blocks, LoopIter: p.LoopIter,
-				StringLen: p.StringLen, Seed: p.Seed + int64(i)*1000,
-			})
-			if err != nil {
-				fatalf("%v", err)
-			}
-			if _, err := sys.AddProcess(fmt.Sprintf("p%d", i), im); err != nil {
-				fatalf("%v", err)
-			}
-		}
-		if err := sys.Boot(); err != nil {
+		s, err := workload.Prepare(p, *cycles, cpu.Config{})
+		if err != nil {
 			fatalf("%v", err)
 		}
-		sys.SetScriptText(p.Script)
-		sys.QueueTerminalEvents(p.TerminalSchedule(*cycles))
 		rec := &trace.Recorder{MaxEvents: *maxEvents}
-		rec.Attach(sys.Machine())
-		res := sys.Run(*cycles)
+		rec.Attach(s.Machine())
+		res := s.Run(*cycles)
 		if res.Err != nil {
 			fatalf("run: %v", res.Err)
 		}

@@ -148,8 +148,18 @@ func TestDecodeRejectsOtherVersion(t *testing.T) {
 		}
 	}
 
+	if _, err := Decode(bytes.NewReader(version3Snapshot(t, 1000))); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("a version 3 snapshot: want ErrBadVersion, got %v", err)
+	}
+}
+
+// version3Snapshot encodes testSnapshot(cycle) as version 3 wrote it:
+// the payload length after the version, and the memory image inside the
+// gob.
+func version3Snapshot(t *testing.T, cycle uint64) []byte {
+	t.Helper()
 	var gobBuf bytes.Buffer
-	if err := gob.NewEncoder(&gobBuf).Encode(testSnapshot(1000)); err != nil {
+	if err := gob.NewEncoder(&gobBuf).Encode(testSnapshot(cycle)); err != nil {
 		t.Fatalf("gob: %v", err)
 	}
 	v3 := append([]byte(nil), magic[:]...)
@@ -157,10 +167,44 @@ func TestDecodeRejectsOtherVersion(t *testing.T) {
 	v3 = binary.LittleEndian.AppendUint64(v3, uint64(gobBuf.Len()))
 	v3 = append(v3, gobBuf.Bytes()...)
 	sum := sha256.Sum256(v3)
-	v3 = append(v3, sum[:]...)
-	if _, err := Decode(bytes.NewReader(v3)); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("a version 3 snapshot: want ErrBadVersion, got %v", err)
+	return append(v3, sum[:]...)
+}
+
+// TestCheckVersion: a directory whose newest generation is a version 3
+// snapshot is refused with ErrBadVersion, naming the version, from its
+// header alone. A missing or empty directory, one whose newest generation
+// is pure damage (left for LoadLatest to report) and one whose newest
+// generation is of FormatVersion pass.
+func TestCheckVersion(t *testing.T) {
+	dir := t.TempDir()
+	pass := func(what string) {
+		t.Helper()
+		if err := CheckVersion(dir); err != nil {
+			t.Errorf("%s: %v, want it to pass", what, err)
+		}
 	}
+	if err := CheckVersion(filepath.Join(dir, "missing")); err != nil {
+		t.Errorf("a missing directory: %v, want it to pass", err)
+	}
+	pass("an empty directory")
+	if err := os.WriteFile(filepath.Join(dir, name(1000)), []byte("junk"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	pass("a damaged newest generation")
+	if err := os.WriteFile(filepath.Join(dir, name(2000)), version3Snapshot(t, 2000), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckVersion(dir); !errors.Is(err, ErrBadVersion) || !strings.Contains(err.Error(), "version 3") {
+		t.Errorf("a version 3 generation: %v, want ErrBadVersion naming version 3", err)
+	}
+	d, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Save(testSnapshot(3000)); err != nil {
+		t.Fatal(err)
+	}
+	pass("a current newest generation")
 }
 
 // TestEncodeRefusesInconsistentImage: a memory image that is not 512

@@ -1,6 +1,8 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -173,4 +175,32 @@ func (d *Dir) LoadLatest() (*Snapshot, string, error) {
 	}
 	return nil, "", fmt.Errorf("checkpoint: %w in %s:\n  %s",
 		ErrNoSnapshot, d.path, strings.Join(failures, "\n  "))
+}
+
+// CheckVersion refuses a directory whose newest snapshot generation
+// carries another format version in its header, as the generations of a
+// directory an earlier build wrote do: none of them can ever load. It
+// reads only that header, before any checksum, and creates nothing. A
+// directory that does not exist or holds no generation passes, and so
+// does one whose newest generation cannot be read or lacks the magic:
+// LoadLatest reports those.
+func CheckVersion(path string) error {
+	gens, _ := (&Dir{path: path}).Generations()
+	if len(gens) == 0 {
+		return nil
+	}
+	f, err := os.Open(gens[len(gens)-1])
+	if err != nil {
+		return nil
+	}
+	defer f.Close()
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil || !bytes.Equal(hdr[:8], magic[:]) {
+		return nil
+	}
+	if v := binary.LittleEndian.Uint32(hdr[8:]); v != FormatVersion {
+		return fmt.Errorf("checkpoint: %w: %s holds version %d snapshots, this build reads %d",
+			ErrBadVersion, path, v, FormatVersion)
+	}
+	return nil
 }

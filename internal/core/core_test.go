@@ -242,81 +242,6 @@ func TestMonitorCommandInterface(t *testing.T) {
 	}
 }
 
-func TestMonitorOverflow(t *testing.T) {
-	mo := NewMonitor()
-	mo.SetCounterCapacity(10)
-	mo.Start()
-	mo.Count(1, 9)
-	if mo.Overflowed() {
-		t.Error("no overflow yet")
-	}
-	mo.Count(1, 5)
-	if !mo.Overflowed() {
-		t.Error("overflow not detected")
-	}
-	if c, _ := mo.ReadBucket(1); c != 10 {
-		t.Errorf("bucket pinned at %d, want 10", c)
-	}
-	h := mo.Snapshot()
-	if !h.OverflowedAt(1) {
-		t.Error("saturated bucket not marked in the overflow bitmap")
-	}
-	if h.OverflowedAt(2) {
-		t.Error("clean bucket marked overflowed")
-	}
-	if n := h.OverflowCount(); n != 1 {
-		t.Errorf("OverflowCount = %d, want 1", n)
-	}
-	// Further counting at the pinned bucket never corrupts it.
-	mo.Count(1, 1000)
-	if c, _ := mo.ReadBucket(1); c != 10 {
-		t.Errorf("bucket moved off the pin: %d", c)
-	}
-	mo.Clear()
-	if mo.Overflowed() || mo.Snapshot().OverflowCount() != 0 {
-		t.Error("Clear left overflow state")
-	}
-}
-
-func TestOverflowBitmapStickyAcrossAdd(t *testing.T) {
-	mo := NewMonitor()
-	mo.SetCounterCapacity(4)
-	mo.Start()
-	mo.Stall(100, 9) // saturates bucket 100
-	a := mo.Snapshot()
-	var b Histogram
-	b.Counts[7] = 3
-	b.Add(a)
-	if !b.OverflowedAt(100) {
-		t.Error("Add dropped the overflow mark")
-	}
-	if b.OverflowedAt(7) {
-		t.Error("Add invented an overflow mark")
-	}
-}
-
-func TestHistogramSaveLoadPreservesOverflow(t *testing.T) {
-	mo := NewMonitor()
-	mo.SetCounterCapacity(2)
-	mo.Start()
-	mo.Count(42, 5)
-	h := mo.Snapshot()
-	var buf bytes.Buffer
-	if err := h.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadHistogram(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.OverflowedAt(42) || got.OverflowCount() != 1 {
-		t.Error("overflow bitmap lost across save/load")
-	}
-	if got.Counts[42] != 2 {
-		t.Errorf("saturated count = %d, want 2", got.Counts[42])
-	}
-}
-
 func TestLoadHistogramTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	if err := (&Histogram{}).Save(&buf); err != nil {

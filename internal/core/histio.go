@@ -19,12 +19,18 @@ import (
 // everything before it. Truncation, padding and bit rot are all rejected
 // with ErrCorruptHistogram rather than silently producing a wrong table.
 //
-// The payload is a fixed little-endian layout (Counts, Stalls, Over, in
-// index order), NOT gob: gob assigns wire type IDs from a process-global
-// registry, so its bytes depend on what else the process has encoded —
-// a resumed run would write a value-identical but byte-different file.
+// The payload is a fixed little-endian layout (Counts, Stalls, then 256
+// reserved words, in index order), NOT gob: gob assigns wire type IDs
+// from a process-global registry, so its bytes depend on what else the
+// process has encoded — a resumed run would write a value-identical but
+// byte-different file.
 // The deterministic-resume contract promises `cmp`-level equality of the
 // data product, so the encoding must be a pure function of the data.
+//
+// The reserved words held a per-bucket saturation bitmap while the monitor
+// had a configurable counter capacity. No run ever set one, so every file
+// holds zeros there; Save still writes them, so files keep their bytes,
+// and LoadHistogram refuses a file whose reserved words are not zero.
 //
 // Files written before the format existed (a bare gob stream) still load,
 // without the integrity check.
@@ -36,11 +42,16 @@ var ErrCorruptHistogram = errors.New("corrupt histogram file")
 
 var histMagic = [8]byte{'V', 'A', 'X', 'U', 'P', 'C', 'H', '1'}
 
+// reservedWords is what Save writes in the reserved words.
+var reservedWords [histReserved]uint64
+
 const (
 	histHeaderLen  = 16 // magic + little-endian uint64 payload length
 	histTrailerLen = sha256.Size
-	// histPayloadLen is the fixed payload size: Counts, Stalls, Over.
-	histPayloadLen = 8 * (2*ucode.StoreSize + ucode.StoreSize/64)
+	// histReserved is the number of reserved words after the counters.
+	histReserved = ucode.StoreSize / 64
+	// histPayloadLen is the fixed payload size: Counts, Stalls, reserved.
+	histPayloadLen = 8 * (2*ucode.StoreSize + histReserved)
 	// histChunk is how many bytes Save encodes before writing them.
 	histChunk = 4 << 10
 )
@@ -67,7 +78,7 @@ func (h *Histogram) Save(w io.Writer) error {
 	}
 	buf = append(buf, histMagic[:]...)
 	buf = binary.LittleEndian.AppendUint64(buf, histPayloadLen)
-	for _, arr := range [][]uint64{h.Counts[:], h.Stalls[:], h.Over[:]} {
+	for _, arr := range [][]uint64{h.Counts[:], h.Stalls[:], reservedWords[:]} {
 		for _, v := range arr {
 			if len(buf) == histChunk {
 				if err := flush(); err != nil {
@@ -118,10 +129,15 @@ func LoadHistogram(r io.Reader) (*Histogram, error) {
 	}
 	var h Histogram
 	payload := body[histHeaderLen:]
-	for _, arr := range [][]uint64{h.Counts[:], h.Stalls[:], h.Over[:]} {
+	for _, arr := range [][]uint64{h.Counts[:], h.Stalls[:]} {
 		for i := range arr {
 			arr[i] = binary.LittleEndian.Uint64(payload)
 			payload = payload[8:]
+		}
+	}
+	for _, b := range payload {
+		if b != 0 {
+			return nil, fmt.Errorf("core: %w: a reserved word is not zero", ErrCorruptHistogram)
 		}
 	}
 	return &h, nil

@@ -21,7 +21,6 @@ func testHist() *Histogram {
 		h.Counts[i] = uint64(i)*3 + 1
 		h.Stalls[i] = uint64(i) * 2
 	}
-	h.markOverflow(42)
 	return h
 }
 
@@ -38,8 +37,30 @@ func TestHistogramSaveLoadRoundtrip(t *testing.T) {
 	if *got != *h {
 		t.Fatalf("roundtrip changed the histogram")
 	}
-	if !got.OverflowedAt(42) {
-		t.Fatalf("overflow mark lost in roundtrip")
+}
+
+// TestHistogramReservedWords: Save writes the 256 reserved words after
+// the counters as zeros, and LoadHistogram refuses a checksum-intact file
+// with any bit set there, so every histogram it loads saves back to the
+// bytes it came from.
+func TestHistogramReservedWords(t *testing.T) {
+	var buf bytes.Buffer
+	if err := testHist().Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	data := buf.Bytes()
+	reserved := data[histHeaderLen+16*ucode.StoreSize : len(data)-histTrailerLen]
+	if len(reserved) != 8*histReserved || !bytes.Equal(reserved, make([]byte, len(reserved))) {
+		t.Fatalf("the %d bytes after the counters are not %d zero words", len(reserved), histReserved)
+	}
+	for _, word := range []int{0, histReserved - 1} {
+		b := bytes.Clone(data)
+		b[histHeaderLen+16*ucode.StoreSize+8*word] = 1
+		sum := sha256.Sum256(b[:len(b)-histTrailerLen])
+		copy(b[len(b)-histTrailerLen:], sum[:])
+		if h, err := LoadHistogram(bytes.NewReader(b)); !errors.Is(err, ErrCorruptHistogram) || h != nil {
+			t.Errorf("reserved word %d set: got %v and a histogram %v, want ErrCorruptHistogram and none", word, err, h != nil)
+		}
 	}
 }
 
@@ -104,10 +125,10 @@ func TestHistogramCorruptionMatrix(t *testing.T) {
 	}
 }
 
-// saveDigest is the SHA-256 of the file Save wrote for fixedHist before
-// Save streamed its payload (recorded at f70c30e): streaming changed how
-// the bytes are made, not the bytes.
-const saveDigest = "bb13142169299d14c3afa3819dc7e41e0d552fe15ce7b7387f73af5a7f91e83b"
+// saveDigest is the SHA-256 of the file Save wrote for fixedHist at
+// 330260c, where the reserved words were still a saturation bitmap (zero
+// for fixedHist): reserving them did not move the bytes.
+const saveDigest = "2d9bdd81cc7898e00bd3c96640bdb6a6455b78dfea799e6f4ec407268ed6b46e"
 
 // fixedHist fills every bucket, so a value lost or repeated at a chunk
 // boundary moves the file.
@@ -116,9 +137,6 @@ func fixedHist() *Histogram {
 	for i := range h.Counts {
 		h.Counts[i] = uint64(i+1) * 0x9E3779B97F4A7C15
 		h.Stalls[i] = uint64(i) << 20
-	}
-	for i := range h.Over {
-		h.Over[i] = uint64(i) * 0x0101010101010101
 	}
 	return h
 }

@@ -19,10 +19,8 @@ import (
 
 // Monitor is the µPC histogram board.
 type Monitor struct {
-	hist      Histogram
-	running   bool
-	overflow  bool
-	maxBucket uint64 // counter capacity; 0 means unbounded
+	hist    Histogram
+	running bool
 }
 
 var _ cpu.Probe = (*Monitor)(nil)
@@ -30,12 +28,9 @@ var _ cpu.Probe = (*Monitor)(nil)
 // NewMonitor returns a stopped, cleared monitor.
 //
 // The real board's counters had capacity for 1-2 hours of heavy processing
-// (§2.2); pass a nonzero bucket capacity to model that and detect
-// overflow.
+// (§2.2); this board's are 64 bits wide, which no run in this repository
+// comes near filling.
 func NewMonitor() *Monitor { return &Monitor{} }
-
-// SetCounterCapacity sets the per-bucket counter capacity (0 = unbounded).
-func (mo *Monitor) SetCounterCapacity(max uint64) { mo.maxBucket = max }
 
 // Start begins collection (Unibus "start data collection").
 func (mo *Monitor) Start() { mo.running = true }
@@ -47,42 +42,20 @@ func (mo *Monitor) Stop() { mo.running = false }
 func (mo *Monitor) Running() bool { return mo.running }
 
 // Clear zeroes all count buckets.
-func (mo *Monitor) Clear() {
-	mo.hist = Histogram{}
-	mo.overflow = false
-}
-
-// Overflowed reports whether any bucket hit the configured capacity.
-func (mo *Monitor) Overflowed() bool { return mo.overflow }
+func (mo *Monitor) Clear() { mo.hist = Histogram{} }
 
 // Count implements cpu.Probe: n executed cycles at a location.
 func (mo *Monitor) Count(upc uint16, n uint64) {
-	if !mo.running {
-		return
+	if mo.running {
+		mo.hist.Counts[upc] += n
 	}
-	mo.hist.Counts[upc] = mo.bump(upc, mo.hist.Counts[upc], n)
 }
 
 // Stall implements cpu.Probe: n stalled cycles at a location.
 func (mo *Monitor) Stall(upc uint16, n uint64) {
-	if !mo.running {
-		return
+	if mo.running {
+		mo.hist.Stalls[upc] += n
 	}
-	mo.hist.Stalls[upc] = mo.bump(upc, mo.hist.Stalls[upc], n)
-}
-
-// bump adds n to a bucket counter with saturate-and-flag degradation: a
-// counter that reaches the configured capacity pins there and marks the
-// bucket overflowed, so a too-long run yields a histogram that is wrong
-// only in known places — never a wrapped (silently corrupt) count.
-func (mo *Monitor) bump(upc uint16, cur, n uint64) uint64 {
-	v := cur + n
-	if mo.maxBucket != 0 && v >= mo.maxBucket {
-		mo.overflow = true
-		mo.hist.markOverflow(upc)
-		v = mo.maxBucket
-	}
-	return v
 }
 
 // ReadBucket reads one bucket's two counters (Unibus "read").
@@ -103,42 +76,13 @@ func (mo *Monitor) Snapshot() *Histogram {
 type Histogram struct {
 	Counts [ucode.StoreSize]uint64
 	Stalls [ucode.StoreSize]uint64
-	// Over is a per-bucket overflow bitmap: bit upc%64 of word upc/64 is
-	// set when either counter of that location saturated at the monitor's
-	// capacity. Gob encodes it with the counters, so the degradation marks
-	// survive save/load and histogram summation.
-	Over [ucode.StoreSize / 64]uint64
 }
 
-func (h *Histogram) markOverflow(upc uint16) {
-	h.Over[upc/64] |= 1 << (upc % 64)
-}
-
-// OverflowedAt reports whether the bucket at upc saturated.
-func (h *Histogram) OverflowedAt(upc uint16) bool {
-	return h.Over[upc/64]&(1<<(upc%64)) != 0
-}
-
-// OverflowCount returns the number of saturated buckets.
-func (h *Histogram) OverflowCount() int {
-	n := 0
-	for _, w := range h.Over {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
-// Add accumulates another histogram into h. Overflow marks are sticky:
-// a sum involving a saturated bucket is itself marked saturated there.
+// Add accumulates another histogram into h.
 func (h *Histogram) Add(other *Histogram) {
 	for i := range h.Counts {
 		h.Counts[i] += other.Counts[i]
 		h.Stalls[i] += other.Stalls[i]
-	}
-	for i := range h.Over {
-		h.Over[i] |= other.Over[i]
 	}
 }
 
@@ -156,10 +100,8 @@ func (h *Histogram) TotalCycles() uint64 {
 // plus the board's control state, so a resumed run keeps counting exactly
 // where the interrupted one stopped.
 type MonitorState struct {
-	Hist      Histogram
-	Running   bool
-	Overflow  bool
-	MaxBucket uint64
+	Hist    Histogram
+	Running bool
 }
 
 // ExportState captures the board state (the histogram is copied) into a
@@ -175,14 +117,10 @@ func (mo *Monitor) ExportState() MonitorState {
 func (mo *Monitor) ExportStateInto(st *MonitorState) {
 	st.Hist = mo.hist
 	st.Running = mo.running
-	st.Overflow = mo.overflow
-	st.MaxBucket = mo.maxBucket
 }
 
 // ImportState restores a captured board state.
 func (mo *Monitor) ImportState(st MonitorState) {
 	mo.hist = st.Hist
 	mo.running = st.Running
-	mo.overflow = st.Overflow
-	mo.maxBucket = st.MaxBucket
 }

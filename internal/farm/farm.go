@@ -244,9 +244,10 @@ func (f *Farm) deriveInstance(i int) *instance {
 // the two non-clean endings — *Interrupted (resumable pause) and
 // *PoolExhausted (every worker died). The Result is meaningful in all
 // three cases; the ledger says exactly which instances stand where. A
-// farm from New whose Root holds an earlier run returns *RootInUse, and
-// no Result, before it writes anything. A wall-clock budget is the
-// context's deadline.
+// farm from New whose Root holds an earlier run returns *RootInUse, or an
+// error wrapping checkpoint.ErrBadVersion when that run's checkpoints are
+// of another format, and no Result, before it writes anything. A
+// wall-clock budget is the context's deadline.
 func (f *Farm) Run(ctx context.Context) (*Result, error) {
 	if f.ran.Swap(true) {
 		return nil, fmt.Errorf("farm: Run called twice on one Farm")
@@ -390,7 +391,7 @@ func (f *Farm) Run(ctx context.Context) (*Result, error) {
 	close(dispatch)
 	// Bounded: dispatch just closed above, so every worker falls out of its
 	// range loop after at most one in-flight attempt, and attempts
-	// themselves are ctx-supervised via workload.RunSupervised.
+	// themselves are ctx-supervised via workload.ResumeOrRun.
 	wg.Wait()
 
 	res := f.merge(sums)

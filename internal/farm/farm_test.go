@@ -3,6 +3,8 @@ package farm
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"vax780/internal/checkpoint"
 	"vax780/internal/core"
 	"vax780/internal/cpu"
 	"vax780/internal/fault"
@@ -279,6 +282,13 @@ func TestFarmPauseResume(t *testing.T) {
 // flight and instances queued, on a host of any speed.
 func runUntilFirstResult(t *testing.T, cfg Config) (*Result, error) {
 	t.Helper()
+	return runUntil(t, cfg, filepath.Join("inst-*", "result.upc"))
+}
+
+// runUntil runs cfg's farm and cancels it once a file matching pattern
+// appears under its root.
+func runUntil(t *testing.T, cfg Config, pattern string) (*Result, error) {
+	t.Helper()
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +297,7 @@ func runUntilFirstResult(t *testing.T, cfg Config) (*Result, error) {
 	defer cancel()
 	go func() {
 		for ctx.Err() == nil {
-			if done, _ := filepath.Glob(filepath.Join(cfg.Root, "inst-*", "result.upc")); len(done) > 0 {
+			if done, _ := filepath.Glob(filepath.Join(cfg.Root, pattern)); len(done) > 0 {
 				cancel()
 			}
 			time.Sleep(time.Millisecond)
@@ -306,21 +316,7 @@ func TestFarmPauseInFlight(t *testing.T) {
 	cfg := testConfig(t, 1)
 	cfg.Instances = 1
 	cfg.Cycles = 100_000_000
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		for ctx.Err() == nil {
-			if gens, _ := filepath.Glob(filepath.Join(cfg.Root, "inst-*", "*.vaxck")); len(gens) > 0 {
-				cancel()
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	res, err := f.Run(ctx)
+	res, err := runUntil(t, cfg, filepath.Join("inst-*", "*.vaxck"))
 	var intr *Interrupted
 	if !errors.As(err, &intr) {
 		t.Fatalf("err = %v, want *Interrupted", err)
@@ -332,6 +328,64 @@ func TestFarmPauseInFlight(t *testing.T) {
 		if o.Status == StatusPending || o.Status == StatusRunning {
 			t.Errorf("instance %d left %s after the farm returned", o.ID, o.Status)
 		}
+	}
+}
+
+// TestFarmResumeRefusesOtherFormat: a root whose checkpoints an earlier
+// format wrote, here an interrupted instance's generations restamped as
+// version 3 with their checksums mended, can never continue. Resume, and
+// a new farm on the root, refuse it with checkpoint.ErrBadVersion before
+// anything runs or is written, and the error says to start afresh rather
+// than to resume.
+func TestFarmResumeRefusesOtherFormat(t *testing.T) {
+	defer checkGoroutineLeak(t)()
+	cfg := testConfig(t, 1)
+	cfg.Instances = 1
+	cfg.Cycles = 100_000_000
+	var intr *Interrupted
+	if _, err := runUntil(t, cfg, filepath.Join("inst-*", "*.vaxck")); !errors.As(err, &intr) {
+		t.Fatalf("err = %v, want *Interrupted", err)
+	}
+	gens, _ := filepath.Glob(filepath.Join(cfg.Root, "inst-*", "*.vaxck"))
+	if len(gens) == 0 {
+		t.Fatal("the interrupted farm left no checkpoint generation")
+	}
+	for _, g := range gens {
+		data, err := os.ReadFile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(data[8:], 3)
+		sum := sha256.Sum256(data[:len(data)-sha256.Size])
+		copy(data[len(data)-sha256.Size:], sum[:])
+		if err := os.WriteFile(g, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := treeBytes(t, cfg.Root)
+
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, checkpoint.ErrBadVersion) || !strings.Contains(err.Error(), "afresh") || strings.Contains(err.Error(), "-resume") {
+			t.Errorf("%s: %v; want ErrBadVersion, saying to start afresh and suggesting no resume", what, err)
+		}
+	}
+	resumed, err := Resume(cfg.Root)
+	if resumed != nil {
+		t.Fatal("Resume of a version 3 root built a farm")
+	}
+	refused("Resume", err)
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Run(context.Background())
+	if res != nil {
+		t.Fatalf("a new farm on a version 3 root ran: %+v", res.Ledger)
+	}
+	refused("a new farm", err)
+	if after := treeBytes(t, cfg.Root); !reflect.DeepEqual(after, before) {
+		t.Errorf("the refusals changed the root:\nbefore %v\nafter  %v", keys(before), keys(after))
 	}
 }
 

@@ -129,10 +129,13 @@ func loadResult(dir string) (*core.Histogram, *resultMeta, error) {
 // a bare `vaxfarm -resume -checkpoint root` can rebuild the identical
 // farm. A root that already holds a manifest holds an earlier run, which
 // only Resume continues: it is refused with *RootInUse before anything is
-// written.
+// written, or with checkFormat's error when no Resume can continue it.
 func writeManifest(root string, cfg Config) error {
 	path := filepath.Join(root, manifestName)
 	if _, err := os.Stat(path); err == nil {
+		if err := checkFormat(root); err != nil {
+			return err
+		}
 		return &RootInUse{Root: root}
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("farm: manifest: %w", err)
@@ -150,11 +153,27 @@ func writeManifest(root string, cfg Config) error {
 	return nil
 }
 
+// checkFormat refuses a root whose instance directories hold checkpoints
+// of another format version, such as an earlier build wrote: no Resume
+// can continue the run under it. The error wraps checkpoint.ErrBadVersion.
+// checkpoint.CheckVersion passes anything that is not a directory of
+// generations, farm.json included.
+func checkFormat(root string) error {
+	ents, _ := os.ReadDir(root)
+	for _, e := range ents {
+		if err := checkpoint.CheckVersion(filepath.Join(root, e.Name())); err != nil {
+			return fmt.Errorf("farm: %s cannot resume; start the run afresh under another root: %w", root, err)
+		}
+	}
+	return nil
+}
+
 // Resume rebuilds a farm from the manifest under root. Completed
 // instances load their persisted results without re-running; interrupted
 // ones continue from their newest checkpoint generation; instances that
-// never started run fresh. Scripted kills are not replayed — chaos is an
-// input to a run, not a property of the farm.
+// never started run fresh. A root checkFormat refuses is refused before
+// anything runs. Scripted kills are not replayed — chaos is an input to a
+// run, not a property of the farm.
 func Resume(root string) (*Farm, error) {
 	data, err := os.ReadFile(filepath.Join(root, manifestName))
 	if err != nil {
@@ -163,6 +182,9 @@ func Resume(root string) (*Farm, error) {
 	var cfg Config
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		return nil, fmt.Errorf("farm: manifest under %s does not parse: %w", root, err)
+	}
+	if err := checkFormat(root); err != nil {
+		return nil, err
 	}
 	cfg.Root = root
 	cfg.Kills = nil

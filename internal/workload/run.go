@@ -24,18 +24,19 @@ type Result struct {
 	Hist    *core.Histogram
 	Cycles  uint64
 	Counters
-	Faults fault.Stats // injection activity (zero without a plane)
 }
 
 // Counters are the machine's own record of a run, read beside the
 // histogram: the cache, IB and TB statistics of §4.1 and §4.2, the event
-// counts of Table 7 and the instructions retired.
+// counts of Table 7, the instructions retired and the fault plane's
+// injection activity.
 type Counters struct {
 	Instructions uint64 // machine-level (includes the null process)
 	Cache        cache.Stats
 	IB           cpu.IBStats
 	TB           tb.Stats
 	HW           cpu.HWCounters
+	Faults       fault.Stats // zero without a plane
 }
 
 // Add sums o into c, every field.
@@ -68,6 +69,10 @@ func (c *Counters) Add(o Counters) {
 	c.HW.MachineChecksLost += o.HW.MachineChecksLost
 	for i := range c.HW.MachineChecksByCause {
 		c.HW.MachineChecksByCause[i] += o.HW.MachineChecksByCause[i]
+	}
+	for i := range c.Faults.Samples {
+		c.Faults.Samples[i] += o.Faults.Samples[i]
+		c.Faults.Injected[i] += o.Faults.Injected[i]
 	}
 }
 
@@ -126,8 +131,8 @@ func (s *session) result() *Result {
 			IB:           m.IBStats(),
 			TB:           m.TLB.Stats(),
 			HW:           m.HW(),
+			Faults:       s.plane.Stats(),
 		},
-		Faults: s.plane.Stats(),
 	}
 }
 

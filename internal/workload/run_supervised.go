@@ -83,21 +83,16 @@ type Spec struct {
 }
 
 // Interrupted reports a supervised run stopped before completing its
-// cycle budget — by cancellation, deadline, or StopAt — with the final
-// checkpoint (if a checkpoint directory was configured) recorded so the
-// run can be resumed.
+// cycle budget — by cancellation, deadline, or StopAt — after a final
+// checkpoint when a checkpoint directory was configured, so the run can be
+// resumed.
 type Interrupted struct {
-	Cause      error  // context.Canceled, context.DeadlineExceeded, or ErrStopRequested
-	Cycle      uint64 // machine cycle at the stop
-	Checkpoint string // path of the final snapshot ("" without a checkpoint dir)
+	Cause error  // context.Canceled, context.DeadlineExceeded, or ErrStopRequested
+	Cycle uint64 // machine cycle at the stop
 }
 
 func (e *Interrupted) Error() string {
-	msg := fmt.Sprintf("run interrupted at cycle %d: %v", e.Cycle, e.Cause)
-	if e.Checkpoint != "" {
-		msg += "; checkpoint written to " + e.Checkpoint
-	}
-	return msg
+	return fmt.Sprintf("run interrupted at cycle %d: %v", e.Cycle, e.Cause)
 }
 
 func (e *Interrupted) Unwrap() error { return e.Cause }
@@ -126,33 +121,6 @@ func RunSupervised(ctx context.Context, spec Spec, sup Supervisor) (*Result, err
 		return nil, err
 	}
 	return s.supervise(ctx, spec.Fault, sup)
-}
-
-// ResumeSupervised continues a checkpointed run from the newest loadable
-// snapshot generation in dir (corrupt generations are skipped). A
-// snapshot of a completed run reconstructs its Result without running.
-// Unless sup.CheckpointDir says otherwise, further checkpoints go back
-// to dir.
-func ResumeSupervised(ctx context.Context, dir string, sup Supervisor) (*Result, error) {
-	d, err := checkpoint.Open(dir, 0)
-	if err != nil {
-		return nil, err
-	}
-	snap, _, err := d.LoadLatest()
-	if err != nil {
-		return nil, err
-	}
-	s, err := restore(snap)
-	if err != nil {
-		return nil, err
-	}
-	if snap.Complete() {
-		return s.result(), nil
-	}
-	if sup.CheckpointDir == "" {
-		sup.CheckpointDir = dir
-	}
-	return s.supervise(ctx, snap.Meta.Fault, sup)
 }
 
 // restore rebuilds a session from a snapshot: the same deterministic
@@ -244,7 +212,6 @@ func (s *session) supervise(ctx context.Context, fcfg *fault.Config, sup Supervi
 		stopAt = sup.StopAt
 	}
 
-	lastCkpt := ""
 	writeCkpt := func() error {
 		if dir == nil {
 			return nil
@@ -252,12 +219,8 @@ func (s *session) supervise(ctx context.Context, fcfg *fault.Config, sup Supervi
 		if err := s.snapshot(snap, fcfg); err != nil {
 			return err
 		}
-		path, err := dir.Save(snap)
-		if err != nil {
-			return err
-		}
-		lastCkpt = path
-		return nil
+		_, err := dir.Save(snap)
+		return err
 	}
 
 	for m.Cycle() < stopAt {
@@ -277,7 +240,7 @@ func (s *session) supervise(ctx context.Context, fcfg *fault.Config, sup Supervi
 				if err := writeCkpt(); err != nil {
 					return nil, &Failed{Cause: fmt.Errorf("interrupted, and the final checkpoint failed: %w", err), Cycle: m.Cycle()}
 				}
-				return nil, &Interrupted{Cause: res.Err, Cycle: m.Cycle(), Checkpoint: lastCkpt}
+				return nil, &Interrupted{Cause: res.Err, Cycle: m.Cycle()}
 			}
 			return nil, &Failed{Cause: fmt.Errorf("workload %s: run: %w", s.p.Name, res.Err), Cycle: m.Cycle()}
 		}
@@ -292,28 +255,40 @@ func (s *session) supervise(ctx context.Context, fcfg *fault.Config, sup Supervi
 		}
 	}
 	if stopAt < s.cycles {
-		return nil, &Interrupted{Cause: ErrStopRequested, Cycle: m.Cycle(), Checkpoint: lastCkpt}
+		return nil, &Interrupted{Cause: ErrStopRequested, Cycle: m.Cycle()}
 	}
 	return s.result(), nil
 }
 
-// ResumeOrRun continues the run checkpointed in sup.CheckpointDir when
-// that directory holds a snapshot generation, and starts spec afresh
-// otherwise. It is the resume rule of the farm's instances: a run with no
-// generation yet had not started.
+// ResumeOrRun is the one resume rule: it continues the run checkpointed
+// in sup.CheckpointDir from the newest loadable snapshot generation there
+// (corrupt generations are skipped) when the directory holds one, and
+// starts spec afresh otherwise, since a run with no generation yet had not
+// started. A snapshot of a completed run reconstructs its Result without
+// running. A resumed run is the snapshot's, whatever spec says.
 func ResumeOrRun(ctx context.Context, spec Spec, sup Supervisor) (*Result, error) {
-	if sup.CheckpointDir != "" {
-		d, err := checkpoint.Open(sup.CheckpointDir, 0)
-		if err != nil {
-			return nil, err
-		}
-		gens, err := d.Generations()
-		if err != nil {
-			return nil, err
-		}
-		if len(gens) > 0 {
-			return ResumeSupervised(ctx, sup.CheckpointDir, sup)
-		}
+	if sup.CheckpointDir == "" {
+		return RunSupervised(ctx, spec, sup)
 	}
-	return RunSupervised(ctx, spec, sup)
+	d, err := checkpoint.Open(sup.CheckpointDir, 0)
+	if err != nil {
+		return nil, err
+	}
+	if gens, err := d.Generations(); err != nil {
+		return nil, err
+	} else if len(gens) == 0 {
+		return RunSupervised(ctx, spec, sup)
+	}
+	snap, _, err := d.LoadLatest()
+	if err != nil {
+		return nil, err
+	}
+	s, err := restore(snap)
+	if err != nil {
+		return nil, err
+	}
+	if snap.Complete() {
+		return s.result(), nil
+	}
+	return s.supervise(ctx, snap.Meta.Fault, sup)
 }

@@ -5,9 +5,10 @@ import (
 )
 
 // Session is a prepared-but-unstarted measurement run, exposed so the
-// stepping benchmark (perfbench) and the attribution and allocation
-// tests can separate the expensive construction — generation, boot,
-// monitor attachment — from the stepping loop they actually measure.
+// stepping benchmark (perfbench), vaxtrace's capture and the attribution
+// and allocation tests can separate the expensive construction —
+// generation, boot, monitor attachment — from the stepping loop they
+// actually measure or trace.
 // Run and RunInjected stay the one-call paths for real measurements.
 type Session struct {
 	s *session

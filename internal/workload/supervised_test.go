@@ -126,8 +126,8 @@ func resumeIdentical(t *testing.T, p Profile, cycles uint64, fcfg *fault.Config)
 		CheckpointEvery: cycles / 4,
 		StopAt:          cycles/2 + 137,
 	}
-	_, err = RunSupervised(context.Background(),
-		Spec{Profile: p, Cycles: cycles, Fault: fcfg}, sup)
+	spec := Spec{Profile: p, Cycles: cycles, Fault: fcfg}
+	_, err = RunSupervised(context.Background(), spec, sup)
 	var intr *Interrupted
 	if !errors.As(err, &intr) {
 		t.Fatalf("want *Interrupted at the stop mark, got %v", err)
@@ -135,11 +135,9 @@ func resumeIdentical(t *testing.T, p Profile, cycles uint64, fcfg *fault.Config)
 	if !errors.Is(err, ErrStopRequested) {
 		t.Fatalf("interruption cause = %v, want ErrStopRequested", intr.Cause)
 	}
-	if intr.Checkpoint == "" {
-		t.Fatal("interruption recorded no checkpoint path")
-	}
+	requireFinalCheckpoint(t, dir, intr.Cycle)
 
-	resumed, err := ResumeSupervised(context.Background(), dir, Supervisor{})
+	resumed, err := ResumeOrRun(context.Background(), spec, Supervisor{CheckpointDir: dir})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -147,12 +145,32 @@ func resumeIdentical(t *testing.T, p Profile, cycles uint64, fcfg *fault.Config)
 
 	// The completed run left a final snapshot; resuming it again
 	// reconstructs the same Result without re-running.
-	again, err := ResumeSupervised(context.Background(), dir, Supervisor{})
+	requireFinalCheckpoint(t, dir, base.Cycles)
+	again, err := ResumeOrRun(context.Background(), spec, Supervisor{CheckpointDir: dir})
 	if err != nil {
 		t.Fatalf("resume of completed run: %v", err)
 	}
 	requireIdentical(t, p.Name+"/completed", base, again)
 	return base
+}
+
+// requireFinalCheckpoint requires the newest snapshot generation in dir to
+// be of machine cycle cycle. ResumeOrRun starts afresh from a directory
+// without one, and a fresh run is identical too, so a resume test that
+// skipped this check would pass without its run being resumed.
+func requireFinalCheckpoint(t *testing.T, dir string, cycle uint64) {
+	t.Helper()
+	d, err := checkpoint.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := d.LoadLatest()
+	if err != nil {
+		t.Fatalf("no final checkpoint: %v", err)
+	}
+	if snap.Meta.Cycle != cycle {
+		t.Fatalf("newest checkpoint is of cycle %d, want the final one at %d", snap.Meta.Cycle, cycle)
+	}
 }
 
 // TestSnapshotSize: memory travels as its nonzero frames, so every
@@ -265,7 +283,7 @@ func TestCrashConsistencyKillAndResume(t *testing.T) {
 		t.Fatalf("truncated snapshot: want ErrCorrupt, got %v", derr)
 	}
 
-	resumed, err := ResumeSupervised(context.Background(), dir, Supervisor{})
+	resumed, err := ResumeOrRun(context.Background(), Spec{Profile: p, Cycles: cycles}, Supervisor{CheckpointDir: dir})
 	if err != nil {
 		t.Fatalf("resume past corrupt generation: %v", err)
 	}
@@ -279,9 +297,8 @@ func TestSupervisedDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	dir := filepath.Join(t.TempDir(), "ck")
-	_, err := RunSupervised(ctx,
-		Spec{Profile: RTECommercial, Cycles: 50_000_000},
-		Supervisor{CheckpointDir: dir})
+	spec := Spec{Profile: RTECommercial, Cycles: 50_000_000}
+	_, err := RunSupervised(ctx, spec, Supervisor{CheckpointDir: dir})
 	var intr *Interrupted
 	if !errors.As(err, &intr) {
 		t.Fatalf("want *Interrupted from the deadline, got %v", err)
@@ -289,11 +306,9 @@ func TestSupervisedDeadline(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cause = %v, want context.DeadlineExceeded", intr.Cause)
 	}
-	if intr.Checkpoint == "" {
-		t.Fatal("deadline interruption wrote no checkpoint")
-	}
-	if _, err := ResumeSupervised(context.Background(), dir,
-		Supervisor{StopAt: intr.Cycle + 1}); err == nil {
+	requireFinalCheckpoint(t, dir, intr.Cycle)
+	if _, err := ResumeOrRun(context.Background(), spec,
+		Supervisor{CheckpointDir: dir, StopAt: intr.Cycle + 1}); err == nil {
 		t.Fatal("expected the immediate re-stop to report *Interrupted")
 	} else if !errors.As(err, &intr) {
 		t.Fatalf("resume after deadline: %v", err)
@@ -307,9 +322,8 @@ func TestSupervisedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the first instruction
 	dir := filepath.Join(t.TempDir(), "ck")
-	_, err := RunSupervised(ctx,
-		Spec{Profile: RTEScientific, Cycles: 300_000},
-		Supervisor{CheckpointDir: dir})
+	spec := Spec{Profile: RTEScientific, Cycles: 300_000}
+	_, err := RunSupervised(ctx, spec, Supervisor{CheckpointDir: dir})
 	var intr *Interrupted
 	if !errors.As(err, &intr) {
 		t.Fatalf("want *Interrupted from cancellation, got %v", err)
@@ -317,7 +331,8 @@ func TestSupervisedCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cause = %v, want context.Canceled", intr.Cause)
 	}
-	resumed, err := ResumeSupervised(context.Background(), dir, Supervisor{})
+	requireFinalCheckpoint(t, dir, intr.Cycle)
+	resumed, err := ResumeOrRun(context.Background(), spec, Supervisor{CheckpointDir: dir})
 	if err != nil {
 		t.Fatalf("resume after cancellation: %v", err)
 	}
@@ -328,18 +343,16 @@ func TestSupervisedCancellation(t *testing.T) {
 	requireIdentical(t, "rte-scientific", base, resumed)
 }
 
-// TestResumeErrors: resuming nothing, or pure damage, is a clean typed
-// error — never a panic, never a silent fresh run.
+// TestResumeErrors: a checkpoint directory that holds generations none of
+// which loads, such as pure damage, is a clean typed error, never a panic
+// and never a silent fresh run.
 func TestResumeErrors(t *testing.T) {
-	empty := filepath.Join(t.TempDir(), "nothing")
-	if _, err := ResumeSupervised(context.Background(), empty, Supervisor{}); !errors.Is(err, checkpoint.ErrNoSnapshot) {
-		t.Errorf("empty dir: want ErrNoSnapshot, got %v", err)
-	}
+	spec := Spec{Profile: RTEScientific, Cycles: 300_000}
 	junkDir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(junkDir, "ckpt-00000000000000000001.vaxck"), []byte("junk"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResumeSupervised(context.Background(), junkDir, Supervisor{}); !errors.Is(err, checkpoint.ErrNoSnapshot) {
+	if _, err := ResumeOrRun(context.Background(), spec, Supervisor{CheckpointDir: junkDir}); !errors.Is(err, checkpoint.ErrNoSnapshot) {
 		t.Errorf("junk dir: want ErrNoSnapshot, got %v", err)
 	}
 }
